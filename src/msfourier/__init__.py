@@ -5,7 +5,6 @@ coefficients) of a high-dimensional signal from noisy point samples, in
 time and samples scaling like s * d * log N rather than N^d.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .dft import BinRanking, dft_forward, next_prime_at_least, top_bins
 from .estimator import (
     CandidateState,
@@ -20,8 +19,8 @@ from .estimator import (
     refine_entry,
 )
 from .oracle import ComparisonReport, compare, dense_spectrum, direct_dft
-from .recovery import RecoveryConfig, RecoveryResult, count_samples, recover
-from .sampler import NoiseModel, SamplePlan, draw_noise, gather_samples
+from .recovery import RecoveryConfig, RecoveryResult, recover
+from .sampler import NoiseModel, SamplePlan, gather_samples
 from .spectrum import (
     FourierMode,
     SparseSpectrum,
@@ -50,18 +49,15 @@ __all__ = [
     "centered_mod",
     "collision_test",
     "compare",
-    "count_samples",
     "dense_spectrum",
     "dft_forward",
     "direct_dft",
-    "draw_noise",
     "effective_bandwidth",
     "estimate_coefficient",
     "evaluate_spectrum",
     "finalize_entry",
     "gather_samples",
     "initial_entry",
-    "kernel_backend",
     "make_schedule",
     "next_prime_at_least",
     "read_signal_file",

@@ -1,18 +1,11 @@
 """Prime selection, prime-length forward DFT, and top-bin ranking.
 
-Sample vectors always have prime length p, so radix FFTs never apply
-directly; the transform uses the chirp-z (Bluestein) identity
-
-    m*l = (m^2 + l^2 - (m-l)^2) / 2
-
-to turn the DFT into one linear convolution, evaluated with power-of-two
-FFTs of length >= 2p-1. Chirp tables and the kernel transform are cached
-per p.
+Sample vectors always have prime length p; numpy's FFT handles prime
+lengths in O(p log p).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -46,31 +39,12 @@ def next_prime_at_least(x: float) -> int:
     return n
 
 
-@functools.lru_cache(maxsize=64)
-def _bluestein_plan(p: int):
-    # exp(-i pi n^2 / p) is 2p-periodic in n; reduce n^2 mod 2p exactly.
-    n = np.arange(p, dtype=np.int64)
-    chirp = np.exp((-1j * np.pi / p) * ((n * n) % (2 * p)))
-    length = 1 << max(2 * p - 1, 1).bit_length()
-    kernel = np.zeros(length, dtype=np.complex128)
-    kernel[:p] = np.conj(chirp)
-    kernel[length - p + 1 :] = np.conj(chirp[1:][::-1])
-    return chirp, np.fft.fft(kernel), length
-
-
 def dft_forward(v) -> np.ndarray:
     """F[m] = sum_l v[l] exp(-2 pi i m l / p) for m = 0..p-1."""
     v = np.asarray(v, dtype=np.complex128)
     if v.ndim != 1 or len(v) < 1:
         raise ValueError("input must be a nonempty 1-D vector")
-    p = len(v)
-    if p == 1:
-        return v.copy()
-    chirp, kernel_ft, length = _bluestein_plan(p)
-    buf = np.zeros(length, dtype=np.complex128)
-    buf[:p] = v * chirp
-    conv = np.fft.ifft(np.fft.fft(buf) * kernel_ft)
-    return chirp * conv[:p]
+    return np.fft.fft(v)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,14 @@ from .estimator import (
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped
 from .spectrum import FourierMode, SparseSpectrum
-from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq_matrix
+from .unwrap import UnwrapMap, effective_bandwidth, rewrap_freq, unwrap_freq_matrix
 
-__all__ = ["RecoveryConfig", "RecoveryResult", "recover", "count_samples"]
+__all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
+
+# Shift phases are computed as float64(w') * eps, so an unwrapped entry w'
+# must stay an exact float64 integer. Above this effective bandwidth N' the
+# recovered frequencies are wrong although the run reports convergence.
+_MAX_EXACT_BANDWIDTH = 2**53
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,15 @@ class RecoveryConfig:
             raise ValueError(f"c1 must be >= 1, got {self.c1}")
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+        try:
+            width = effective_bandwidth(self.N, self.d1)
+        except OverflowError as exc:
+            raise ValueError(str(exc)) from exc
+        if width > _MAX_EXACT_BANDWIDTH:
+            raise ValueError(
+                f"effective bandwidth {width} for N={self.N}, d1={self.d1} exceeds 2^53; "
+                "frequencies past it cannot be recovered exactly, use a smaller d1"
+            )
 
 
 @dataclass
@@ -209,7 +223,3 @@ def recover(
         sample_seconds=sample_seconds,
     )
 
-
-def count_samples(result: RecoveryResult) -> int:
-    """Signal evaluations consumed by a completed run."""
-    return result.samples_used

@@ -7,8 +7,9 @@ k~ of the reduced domain, optionally shifted by eps along axis k:
 
 where q subtracts the modes recovered so far. Because t_l has at most two
 nonzero coordinates, f(g(t_l)) collapses to a sum over the unwrapped
-frequencies' k~ residues mod p (the exponent identity of the unwrap map),
-which is what the mode_sum kernel evaluates.
+frequencies' k~ residues mod p (the exponent identity of the unwrap map):
+a histogram of the residues, weighted by the coefficients, followed by one
+inverse FFT of length p.
 
 Noise draws use counter-based Philox streams keyed by (seed, stream tag),
 so one run is exactly reproducible while re-sampling a point in a later
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import mode_sum
 from .dft import _is_prime
 from .spectrum import SparseSpectrum
 from .unwrap import UnwrapMap, unwrap_freq_matrix
@@ -29,7 +29,6 @@ from .unwrap import UnwrapMap, unwrap_freq_matrix
 __all__ = [
     "NoiseModel",
     "SamplePlan",
-    "draw_noise",
     "noise_vector",
     "gather_samples",
     "gather_unwrapped",
@@ -105,23 +104,22 @@ def noise_vector(noise: NoiseModel, stream: int, p: int) -> np.ndarray:
     return noise.sigma * draws[0::2] + 0j
 
 
-def draw_noise(noise: NoiseModel, position: tuple[int, int]) -> complex:
-    """Single noise draw at ``position = (stream, index)``."""
-    stream, index = position
-    if noise.sigma == 0:
-        return 0j
-    return complex(noise_vector(noise, stream, index + 1)[index])
-
-
 def _synthesize(freqs: np.ndarray, coeffs: np.ndarray, plan: SamplePlan) -> np.ndarray:
-    if len(freqs) == 0:
-        return np.zeros(plan.p, dtype=np.complex128)
+    """values[l] = sum_j w_j exp(2 pi i r_j l / p), r_j = freqs[j, axis] mod p.
+
+    Modes sharing a residue add up in one bin, so the sum is the unscaled
+    inverse DFT of the weighted residue histogram.
+    """
     residues = freqs[:, plan.axis - 1] % plan.p
     weights = coeffs
     if plan.shift_axis is not None:
         phase = freqs[:, plan.shift_axis - 1].astype(np.float64) * plan.shift_size
         weights = weights * np.exp(2j * np.pi * phase)
-    return mode_sum(residues, weights, plan.p)
+    # bincount takes real weights only.
+    hist = np.bincount(residues, weights.real, plan.p) + 1j * np.bincount(
+        residues, weights.imag, plan.p
+    )
+    return plan.p * np.fft.ifft(hist)
 
 
 def gather_unwrapped(

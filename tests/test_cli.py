@@ -86,6 +86,12 @@ def test_cli_exit_codes(tmp_path):
     proc = run_cli("recover")  # missing argument
     assert proc.returncode == 1
 
+    # effective bandwidth above 2^53: refused before any sample is drawn
+    wide = tmp_path / "wide.txt"
+    cmd_generate(20, 13, 13, 8, seed=501, out=wide)
+    proc = run_cli("recover", str(wide), "--d1", "13")
+    assert proc.returncode == 1 and "exceeds 2^53" in proc.stderr
+
 
 def sweep_spec(tmp_path, name="sweep.csv"):
     fixed = RecoveryConfig(N=8, d=2, d1=1, s=2, seed=5)
@@ -176,9 +182,3 @@ def test_sweep_cli_and_validation(tmp_path):
     proc = run_cli("sweep", "--variable", "sigma", "--values", "0.001", "--n", "8",
                    "--d", "2", "--out", str(out))
     assert proc.returncode == 1  # --sparsity required for sigma sweeps
-
-
-def test_bench_smoke():
-    proc = run_cli("bench", "--p", "31", "--modes", "8", "--repeat", "3")
-    assert proc.returncode == 0
-    assert "numpy" in proc.stdout

@@ -6,12 +6,10 @@ from msfourier import (
     FourierMode,
     NoiseModel,
     RecoveryConfig,
-    RecoveryResult,
     SamplePlan,
     SparseSpectrum,
     UnwrapMap,
     compare,
-    count_samples,
     gather_samples,
     recover,
 )
@@ -49,17 +47,7 @@ def test_sample_count_formula():
     truth = SparseSpectrum(modes=modes, bandwidth=8, dim=2)
     res = recover(RecoveryConfig(N=8, d=2, d1=1, s=5), truth)
     assert res.converged and res.outer_iterations == 1
-    assert count_samples(res) == 99
-
-
-def test_count_samples_empty_result():
-    empty = RecoveryResult(
-        modes=SparseSpectrum(modes=(), bandwidth=8, dim=2),
-        samples_used=0,
-        outer_iterations=0,
-        converged=True,
-    )
-    assert count_samples(empty) == 0
+    assert res.samples_used == 99
 
 
 def test_sample_count_doubles_with_d():
@@ -159,3 +147,16 @@ def test_geometry_validation():
         RecoveryConfig(N=7, d=2, d1=1, s=1)
     with pytest.raises(ValueError):
         RecoveryConfig(N=8, d=2, d1=1, s=1, eta=1.5)
+
+
+def test_bandwidth_limit_for_exact_recovery():
+    # N'(20, 13) ~ 8.6e16 > 2^53: float64 shift phases cannot resolve the
+    # unwrapped entries; run anyway, recovery reports convergence with none
+    # of the 8 frequencies right
+    with pytest.raises(ValueError, match="2\\^53"):
+        RecoveryConfig(N=20, d=13, d1=13, s=8, seed=1)
+    # N'(20, 12) ~ 4.3e15 < 2^53 is accepted and exact
+    truth = random_spectrum(20, 12, 8, 501)
+    res = recover(RecoveryConfig(N=20, d=12, d1=12, s=8, seed=1), truth)
+    assert res.converged
+    assert compare(truth, res.modes).exact_freq_rate == 1.0

@@ -7,12 +7,11 @@ from msfourier import (
     SamplePlan,
     SparseSpectrum,
     UnwrapMap,
-    draw_noise,
     evaluate_spectrum,
     gather_samples,
 )
 from msfourier.dft import dft_forward
-from msfourier.sampler import noise_vector
+from msfourier.sampler import _synthesize, noise_vector
 from msfourier.unwrap import unwrap_point
 
 SILENT = NoiseModel(sigma=0.0)
@@ -64,19 +63,42 @@ def test_residual_cancels_truth():
     assert np.max(np.abs(vals)) <= 1e-9
 
 
+def direct_mode_sum(residues, weights, p):
+    # (r * l) mod p is reduced in integers before exp, so the reference
+    # carries no phase error that grows with r * l
+    grid = np.arange(p)[:, None]
+    phase = (grid * np.asarray(residues)[None, :]) % p
+    return np.exp((2j * np.pi / p) * phase) @ np.asarray(weights)
+
+
+@pytest.mark.parametrize("p,n", [(5, 3), (31, 10), (521, 256), (2053, 1024)])
+def test_synthesize_matches_definition(p, n):
+    rng = np.random.default_rng(p * 1000 + n)
+    freqs = rng.integers(-5 * p, 5 * p, size=(n, 2))
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    out = _synthesize(freqs, coeffs, SamplePlan(p=p, axis=1))
+    expected = direct_mode_sum(freqs[:, 0] % p, coeffs, p)
+    assert np.max(np.abs(out - expected)) <= 1e-9 * n
+    eps = 0.0137
+    out = _synthesize(freqs, coeffs, SamplePlan(p=p, axis=1, shift_axis=2, shift_size=eps))
+    weights = coeffs * np.exp(2j * np.pi * freqs[:, 1] * eps)
+    expected = direct_mode_sum(freqs[:, 0] % p, weights, p)
+    assert np.max(np.abs(out - expected)) <= 1e-9 * n
+
+
 def test_zero_sigma_is_exactly_noiseless():
-    assert draw_noise(SILENT, (0, 5)) == 0j
+    assert noise_vector(SILENT, 0, 6)[5] == 0j
     np.testing.assert_array_equal(noise_vector(SILENT, 3, 11), np.zeros(11))
 
 
 def test_noise_determinism_and_prefix():
     noise = NoiseModel(sigma=0.5, seed=42)
-    assert draw_noise(noise, (7, 3)) == draw_noise(noise, (7, 3))
+    assert noise_vector(noise, 7, 4)[3] == noise_vector(noise, 7, 4)[3]
     vec = noise_vector(noise, 7, 11)
     for ell in range(11):
-        assert draw_noise(noise, (7, ell)) == vec[ell]
+        assert noise_vector(noise, 7, ell + 1)[ell] == vec[ell]
     # distinct streams are distinct
-    assert draw_noise(noise, (8, 3)) != vec[3]
+    assert noise_vector(noise, 8, 4)[3] != vec[3]
 
 
 def test_complex_circular_variance():
