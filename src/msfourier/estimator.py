@@ -6,12 +6,17 @@ to a noise-scaled error, so the estimate is refined over M+1 geometrically
 growing shifts eps_a = beta^a * eps0: each level wraps the residual error
 into [-1/2, 1/2) of a cycle and divides by the larger shift, shrinking the
 error by beta per level until rounding to the nearest integer is exact.
+
+The estimator functions are array-native: each works elementwise on whole
+blocks of bins (shapes broadcast as numpy's do), and ``recovery.recover``
+calls them on every ranked bin of an outer iteration at once, so the
+functions the tests check are the ones the peeling loop runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +24,11 @@ from .dft import next_prime_at_least
 
 __all__ = [
     "RecoverySchedule",
-    "CandidateState",
     "frac_centered",
     "arg_halfopen",
     "make_schedule",
     "collision_test",
-    "initial_entry",
-    "refine_entry",
+    "bin_phase",
     "reconstruct_entry",
     "finalize_entry",
     "accept_candidate",
@@ -47,9 +50,7 @@ def frac_centered(x):
 def arg_halfopen(z):
     """Complex argument in the branch [-pi, pi)."""
     a = np.angle(z)
-    return np.where(a == np.pi, -np.pi, a) if isinstance(a, np.ndarray) else (
-        -np.pi if a == np.pi else a
-    )
+    return np.where(a == np.pi, -np.pi, a)
 
 
 @dataclass(frozen=True)
@@ -63,16 +64,6 @@ class RecoverySchedule:
     beta: float
     delta: float
     shifts: np.ndarray  # eps_a = beta^a * eps0 for a = 0..M
-
-
-@dataclass
-class CandidateState:
-    """Working state of one ranked bin during an outer iteration."""
-
-    bin: int
-    entry_estimates: np.ndarray  # length d', current w'_k estimates
-    vote: int
-    coeff: complex
 
 
 def make_schedule(
@@ -116,65 +107,68 @@ def make_schedule(
     return RecoverySchedule(p=p, tau=tau, M=M, eps0=eps0, beta=beta, delta=delta, shifts=shifts)
 
 
-def collision_test(F_unshifted_bin: complex, F_shifted_bin: complex, tau: float) -> bool:
-    """True when the shifted/unshifted magnitude ratio is within tau of 1.
+def collision_test(F_unshifted, F_shifted, tau: float):
+    """True where the shifted/unshifted magnitude ratio is within tau of 1.
 
     A bin holding a single mode keeps its magnitude under any shift; a
     collided (or empty) bin generically does not. Empty bins fail outright.
+    Elementwise: unshifted bins of shape (s*,) broadcast against shifted
+    bins of shape (d', s*).
     """
-    denom = abs(F_unshifted_bin)
-    if denom < DEAD_BIN:
-        return False
-    return abs(abs(F_shifted_bin) / denom - 1.0) <= tau
+    denom = np.abs(F_unshifted)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        close = np.abs(np.abs(F_shifted) / denom - 1.0) <= tau
+    return close & (denom >= DEAD_BIN)
 
 
-def initial_entry(F_shifted_bin: complex, F_unshifted_bin: complex, eps0: float) -> float:
-    """Coarse entry estimate Arg(shifted/unshifted) / (2 pi eps0)."""
-    if abs(F_unshifted_bin) < DEAD_BIN:
-        raise ZeroDivisionError("unshifted bin is (numerically) zero")
-    return arg_halfopen(F_shifted_bin / F_unshifted_bin) / (2 * math.pi * eps0)
+def bin_phase(F_shifted, F_unshifted):
+    """Arg(shifted/unshifted) in cycles, in [-1/2, 1/2); 0 on empty bins.
+
+    Broadcasts like :func:`collision_test`. An empty bin carries no phase;
+    its collision tests fail, so its candidate is never accepted.
+    """
+    live = np.abs(F_unshifted) >= DEAD_BIN
+    ratio = np.where(live, F_shifted, 1.0) / np.where(live, F_unshifted, 1.0)
+    return arg_halfopen(ratio) / (2 * np.pi)
 
 
-def refine_entry(w_prev: float, b_alpha: float, eps_alpha: float) -> float:
-    """One correction level: wrap the phase residual and rescale by the shift."""
-    if eps_alpha <= 0:
-        raise ValueError(f"shift must be positive, got {eps_alpha}")
-    return w_prev + frac_centered(b_alpha - eps_alpha * w_prev) / eps_alpha
+def reconstruct_entry(shifts, phases):
+    """Multiscale reconstruction of entries from their per-level phases.
 
-
-def reconstruct_entry(shifts, phases) -> float:
-    """Closed-form multiscale reconstruction from per-level phases.
-
-    Computes w = sum_a c_a / eps_a with c_0 = b_0 and
-    c_a = (b_a - eps_a * lambda_{a-1}) mod [-1/2, 1/2), where lambda_a is the
-    running sum of the first a+1 terms. Folding :func:`refine_entry` over the
-    levels yields the same value.
+    ``phases`` has shape (M+1, ...): level a holds the phases b_a, in
+    cycles, read at shift eps_a. The first level gives w = b_0 / eps_0;
+    each later level wraps the residual b_a - eps_a w into [-1/2, 1/2) and
+    adds it back divided by eps_a, so w = sum_a c_a / eps_a with c_0 = b_0
+    and c_a = (b_a - eps_a * lambda_{a-1}) mod [-1/2, 1/2), lambda_a being
+    the running sum of the first a+1 terms. Returns w, of shape
+    ``phases.shape[1:]``.
     """
     shifts = np.asarray(shifts, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
-    if shifts.shape != phases.shape or shifts.ndim != 1 or len(shifts) == 0:
-        raise ValueError("shifts and phases must be nonempty 1-D arrays of equal length")
-    if np.any(np.diff(shifts) <= 0):
-        raise ValueError("shifts must be strictly increasing")
-    lam = phases[0] / shifts[0]
+    if shifts.ndim != 1 or len(shifts) == 0 or phases.shape[:1] != shifts.shape:
+        raise ValueError("phases must hold one level per shift of a nonempty 1-D ladder")
+    if shifts[0] <= 0 or np.any(np.diff(shifts) <= 0):
+        raise ValueError("shifts must be positive and strictly increasing")
+    w = phases[0] / shifts[0]
     for eps, b in zip(shifts[1:], phases[1:]):
-        lam += frac_centered(b - eps * lam) / eps
-    return float(lam)
+        w = w + frac_centered(b - eps * w) / eps
+    return w
 
 
-def finalize_entry(w_est: float) -> int:
-    """Nearest integer, ties rounded half away from zero."""
-    return int(math.copysign(math.floor(abs(w_est) + 0.5), w_est))
+def finalize_entry(w_est):
+    """Nearest integer (int64), ties rounded half away from zero."""
+    return np.copysign(np.floor(np.abs(w_est) + 0.5), w_est).astype(np.int64)
 
 
-def accept_candidate(vote: int, M: int, eta: float) -> bool:
+def accept_candidate(vote, M: int, eta: float):
     """Keep a candidate whose collision tests failed at most eta*(M+1) times."""
-    if not 0 <= vote <= M + 1:
-        raise ValueError(f"vote {vote} outside [0, {M + 1}]")
+    vote = np.asarray(vote)
+    if np.any((vote < 0) | (vote > M + 1)):
+        raise ValueError(f"vote outside [0, {M + 1}]")
     return vote <= eta * (M + 1)
 
 
-def estimate_coefficient(F_unshifted_bin: complex, p: int) -> complex:
+def estimate_coefficient(F_unshifted_bin, p: int):
     """Coefficient estimate F[m]/p of the mode aliased into bin m."""
     if p < 1:
         raise ValueError(f"sample length must be >= 1, got {p}")

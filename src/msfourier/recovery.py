@@ -18,13 +18,13 @@ import numpy as np
 
 from .dft import dft_forward, top_bins
 from .estimator import (
-    DEAD_BIN,
-    CandidateState,
     accept_candidate,
-    arg_halfopen,
+    bin_phase,
+    collision_test,
     estimate_coefficient,
-    frac_centered,
+    finalize_entry,
     make_schedule,
+    reconstruct_entry,
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped
 from .spectrum import FourierMode, SparseSpectrum
@@ -111,7 +111,8 @@ def recover(
     freqs_truth = unwrap_freq_matrix(truth.freq_array(), umap)
     coeffs_truth = truth.coeff_array()
 
-    found: dict[tuple[int, ...], complex] = {}
+    # unwrapped frequency -> (coefficient, rewrapped frequency)
+    found: dict[tuple[int, ...], tuple[complex, np.ndarray]] = {}
     samples_used = 0
     sample_seconds = 0.0
     stream = 0
@@ -140,7 +141,7 @@ def recover(
                 [freqs_truth, np.array(list(found.keys()), dtype=np.int64)]
             )
             coeffs_all = np.concatenate(
-                [coeffs_truth, -np.array(list(found.values()), dtype=np.complex128)]
+                [coeffs_truth, -np.array([c for c, _ in found.values()], dtype=np.complex128)]
             )
         else:
             freqs_all, coeffs_all = freqs_truth, coeffs_truth
@@ -150,12 +151,12 @@ def recover(
         F0 = dft_forward(r0)
         bins = top_bins(F0, s_star).order
         Fu = F0[bins]
-        dead = np.abs(Fu) < DEAD_BIN
 
+        # An empty bin fails every collision test, so its M+1 votes (eta < 1)
+        # reject it; its phases read 0 and its entries are discarded.
         votes = np.zeros(s_star, dtype=np.int64)
-        entries = np.zeros((d_red, s_star), dtype=np.float64)
-        for alpha in range(M + 1):
-            eps = float(sched.shifts[alpha])
+        phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
+        for alpha, eps in enumerate(sched.shifts.tolist()):
             shifted = np.empty((d_red, s_star), dtype=np.complex128)
             for k in range(1, d_red + 1):
                 r = gather(
@@ -163,57 +164,33 @@ def recover(
                 )
                 stream += 1
                 shifted[k - 1] = dft_forward(r)[bins]
+            votes += ~np.all(collision_test(Fu, shifted, sched.tau), axis=0)
+            phases[alpha] = bin_phase(shifted, Fu)
+        final = finalize_entry(reconstruct_entry(sched.shifts, phases))
+        keep = accept_candidate(votes, M, config.eta)
+        keep &= np.all(np.abs(final) <= half_eff, axis=0)
 
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = shifted / Fu[None, :]
-                fail = np.abs(np.abs(shifted) / np.abs(Fu)[None, :] - 1.0) > sched.tau
-            fail |= dead[None, :]
-            votes += np.any(fail, axis=0)
-
-            ratio[:, dead] = 1.0  # keep the arithmetic finite; dead bins never accepted
-            b = arg_halfopen(ratio) / (2 * np.pi)
-            if alpha == 0:
-                entries = b / eps
-            else:
-                entries += frac_centered(b - eps * entries) / eps
-        final = np.copysign(np.floor(np.abs(entries) + 0.5), entries).astype(np.int64)
-
-        accepted: list[CandidateState] = []
-        for idx in range(s_star):
-            if dead[idx]:
-                continue
-            if not accept_candidate(int(votes[idx]), M, config.eta):
-                continue
+        # (-|coeff|, unwrapped key, coeff, rewrapped frequency) per candidate
+        accepted = []
+        for idx in np.flatnonzero(keep):
             w_vec = final[:, idx]
-            if np.any(np.abs(w_vec) > half_eff):
-                continue
             try:
-                rewrap_freq(w_vec, umap)
+                freq = rewrap_freq(w_vec, umap)
             except ValueError:
                 continue  # not an unwrapped frequency: the candidate is junk
-            accepted.append(
-                CandidateState(
-                    bin=int(bins[idx]),
-                    entry_estimates=w_vec.astype(np.float64),
-                    vote=int(votes[idx]),
-                    coeff=estimate_coefficient(complex(Fu[idx]), p),
-                )
-            )
+            coeff = estimate_coefficient(complex(Fu[idx]), p)
+            accepted.append((-abs(coeff), tuple(w_vec.tolist()), coeff, freq))
 
-        # Conflicting candidates: the larger-magnitude coefficient wins.
-        accepted.sort(key=lambda c: (-abs(c.coeff), tuple(c.entry_estimates)))
-        for cand in accepted:
-            key = tuple(int(x) for x in cand.entry_estimates)
+        # Conflicting candidates: the larger-magnitude coefficient wins. Full
+        # ties keep bin order (complex coefficients are not orderable).
+        accepted.sort(key=lambda cand: cand[:2])
+        for _, key, coeff, freq in accepted:
             if key not in found:
-                found[key] = cand.coeff
+                found[key] = (coeff, freq)
         i += 1
 
     modes = tuple(
-        FourierMode(
-            freq=tuple(int(x) for x in rewrap_freq(np.array(key, dtype=np.int64), umap)),
-            coeff=coeff,
-        )
-        for key, coeff in found.items()
+        FourierMode(freq=tuple(freq.tolist()), coeff=coeff) for coeff, freq in found.values()
     )
     return RecoveryResult(
         modes=SparseSpectrum(modes=modes, bandwidth=config.N, dim=config.d),

@@ -8,27 +8,19 @@ import numpy as np
 import pytest
 from conftest import separable_instance
 
-from msfourier import (
-    FourierMode,
-    NoiseModel,
-    RecoveryConfig,
-    SamplePlan,
-    SparseSpectrum,
-    UnwrapMap,
-    centered_mod,
-    compare,
-    dense_spectrum,
-    estimate_coefficient,
-    gather_samples,
-    make_schedule,
-    next_prime_at_least,
-    reconstruct_entry,
-    recover,
-)
+from msfourier import FourierMode, NoiseModel, RecoveryConfig, SparseSpectrum, compare, recover
 from msfourier.cli import SweepSpec, cmd_sweep, random_spectrum
-from msfourier.dft import dft_forward
-from msfourier.estimator import frac_centered
-from msfourier.oracle import direct_dft
+from msfourier.dft import dft_forward, next_prime_at_least
+from msfourier.estimator import (
+    estimate_coefficient,
+    frac_centered,
+    make_schedule,
+    reconstruct_entry,
+)
+from msfourier.oracle import dense_spectrum, direct_dft
+from msfourier.sampler import SamplePlan, gather_samples
+from msfourier.spectrum import centered_mod
+from msfourier.unwrap import UnwrapMap
 
 SIGMA = 0.512
 N_EFF_D100 = 3368421  # effective bandwidth for N=20, d1=5

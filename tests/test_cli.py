@@ -1,10 +1,13 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msfourier
 from msfourier import RecoveryConfig, read_signal_file
 from msfourier.cli import SweepSpec, cmd_generate, cmd_recover, cmd_sweep
 
@@ -12,8 +15,17 @@ STUCK_PAIR = "8 2 2\n1.0 0.0 1 -4\n1.0 0.0 1 1\n"
 
 
 def run_cli(*args):
+    """Run ``python -m msfourier.cli`` in a child process.
+
+    The child inherits this process's environment, with the directory that
+    ``msfourier`` was imported from put first on PYTHONPATH, so it runs the
+    same copy of the package whether or not it is installed.
+    """
+    package_root = str(Path(msfourier.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "msfourier.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "msfourier.cli", *args], capture_output=True, text=True, env=env
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msfourier import dft_forward, next_prime_at_least, top_bins
+from msfourier.dft import dft_forward, next_prime_at_least, top_bins
 from msfourier.oracle import direct_dft
 
 

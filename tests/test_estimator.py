@@ -3,24 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from msfourier import (
-    FourierMode,
-    NoiseModel,
-    SamplePlan,
-    SparseSpectrum,
-    UnwrapMap,
+from msfourier import FourierMode, NoiseModel, SparseSpectrum
+from msfourier.dft import dft_forward
+from msfourier.estimator import (
     accept_candidate,
+    bin_phase,
     collision_test,
     estimate_coefficient,
     finalize_entry,
-    gather_samples,
-    initial_entry,
+    frac_centered,
     make_schedule,
     reconstruct_entry,
-    refine_entry,
 )
-from msfourier.dft import dft_forward
-from msfourier.estimator import frac_centered
+from msfourier.sampler import SamplePlan, gather_samples
+from msfourier.unwrap import UnwrapMap
 
 
 class TestSchedule:
@@ -82,36 +78,62 @@ class TestCollisionTest:
         assert failures >= 0.99 * trials
 
 
+def first_level_entry(F_shifted, F_unshifted, eps0):
+    """Coarse entry Arg(shifted/unshifted) / (2 pi eps0): a one-shift ladder."""
+    return reconstruct_entry([eps0], [bin_phase(F_shifted, F_unshifted)])
+
+
+# A first level at shift 2^-40 reads a starting estimate w_prev back exactly
+# (scaling by a power of two is exact in binary), so a two-level ladder
+# applies one correction level at any larger shift eps to w_prev.
+EPS_START = 2.0**-40
+
+
+def refined(w_prev, b, eps):
+    """One correction level at shift eps applied to w_prev."""
+    return reconstruct_entry([EPS_START, eps], [w_prev * EPS_START, b])
+
+
 class TestEntryEstimation:
-    def test_initial_entry_examples(self):
+    def test_first_level_entry_examples(self):
         eps0 = 1 / 200
-        assert initial_entry(np.exp(2j * np.pi * 7 * eps0), 1 + 0j, eps0) == pytest.approx(7.0)
-        assert initial_entry(1 + 0j, 1 + 0j, eps0) == 0.0
-        assert initial_entry(np.exp(2j * np.pi * -50 * eps0), 1 + 0j, eps0) == pytest.approx(-50.0)
+        assert first_level_entry(np.exp(2j * np.pi * 7 * eps0), 1 + 0j, eps0) == pytest.approx(7.0)
+        assert first_level_entry(1 + 0j, 1 + 0j, eps0) == 0.0
+        assert first_level_entry(np.exp(2j * np.pi * -50 * eps0), 1 + 0j, eps0) == pytest.approx(
+            -50.0
+        )
         # branch [-pi, pi): the -N'/2 edge maps to -100, not +100
-        assert initial_entry(np.exp(2j * np.pi * -100 * eps0), 1 + 0j, eps0) == pytest.approx(
+        assert first_level_entry(np.exp(2j * np.pi * -100 * eps0), 1 + 0j, eps0) == pytest.approx(
             -100.0
         )
 
-    def test_initial_entry_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            initial_entry(1 + 0j, 0j, 0.01)
+    def test_dead_bin_is_never_accepted(self):
+        # an empty unshifted bin has no phase, fails every collision test,
+        # and so collects M+1 votes, which no eta < 1 accepts
+        assert bin_phase(1 + 0j, 0j) == 0.0
+        assert not collision_test(0j, 1 + 0j, 0.5)
+        # below DEAD_BIN a bin counts as empty even where the ratio is finite
+        assert bin_phase(1e-310j, 1e-310 + 0j) == 0.0
+        assert not collision_test(1e-310 + 0j, 1e-310j, 0.5)
+        M = 17
+        assert not accept_candidate(M + 1, M, 0.25)
+        assert not accept_candidate(M + 1, M, 0.99)
 
     def test_refine_exact_phase_is_fixed_point(self):
         w = 137.0
         eps = 1 / 32
         b = frac_centered(eps * w)
-        assert refine_entry(w, b, eps) == pytest.approx(w)
+        assert refined(w, b, eps) == pytest.approx(w)
 
     def test_refine_recovers_small_offset(self):
         eps = 1 / 32
         b = frac_centered(eps * 103)
-        assert refine_entry(100.0, b, eps) == pytest.approx(103.0)
+        assert refined(100.0, b, eps) == pytest.approx(103.0)
 
     def test_refine_is_linear_in_phase_noise(self):
         eps = 1 / 32
         b = frac_centered(eps * 103 + 0.01)
-        assert refine_entry(100.0, b, eps) == pytest.approx(103.0 + 0.01 / eps)
+        assert refined(100.0, b, eps) == pytest.approx(103.0 + 0.01 / eps)
 
     def test_reconstruct_single_level(self):
         n_eff = 201
@@ -135,9 +157,9 @@ class TestEntryEstimation:
             shifts = np.sort(rng.uniform(1e-6, 1.0, size=levels))
             shifts = np.unique(shifts)
             phases = rng.uniform(-0.5, 0.5, size=len(shifts))
-            w = initial_entry(np.exp(2j * np.pi * phases[0]), 1 + 0j, shifts[0])
+            w = first_level_entry(np.exp(2j * np.pi * phases[0]), 1 + 0j, shifts[0])
             for eps, b in zip(shifts[1:], phases[1:]):
-                w = refine_entry(w, b, eps)
+                w = refined(w, b, eps)
             assert reconstruct_entry(shifts, phases) == pytest.approx(w, abs=1e-9)
 
     def test_reconstruct_bound_under_phase_noise(self):
@@ -160,7 +182,7 @@ class TestEntryEstimation:
         with pytest.raises(ValueError):
             reconstruct_entry([0.1, 0.2], [0.0])
         with pytest.raises(ValueError):
-            refine_entry(0.0, 0.0, 0.0)
+            reconstruct_entry([0.0, 0.1], [0.0, 0.0])  # shifts must be positive
 
 
 def test_finalize_entry():
@@ -223,7 +245,7 @@ def test_noise_error_scaling_for_entries():
                 noise,
             )
             m = 3 % p
-            est = initial_entry(dft_forward(shifted)[m], dft_forward(base)[m], eps0)
+            est = first_level_entry(dft_forward(shifted)[m], dft_forward(base)[m], eps0)
             errs.append(abs(est - w_true))
         return float(np.median(errs))
 
@@ -242,3 +264,63 @@ def test_lee_norm_bound():
     diff = np.angle(g + nu) - np.angle(g)
     lee = np.abs(diff - 2 * np.pi * np.round(diff / (2 * np.pi)))
     assert np.all(lee <= (np.pi / 2) * np.abs(ratio) + 1e-12)
+
+
+class TestStackedCases:
+    """Each estimator function, fed its scalar cases as one stacked array,
+    returns the scalar results elementwise (recover calls them on blocks)."""
+
+    def test_collision_test(self):
+        cases = [(5 + 0j, 5j, 0.01), (5 + 0j, 2.5 + 0j, 0.01), (0j, 1 + 0j, 0.5)]
+        unshifted, shifted, tau = (np.array(col) for col in zip(*cases))
+        expected = [collision_test(*case) for case in cases]
+        np.testing.assert_array_equal(collision_test(unshifted, shifted, tau), expected)
+        # (d', s*) shifted bins against (s*,) unshifted bins
+        block = np.stack([shifted, 1j * shifted])
+        np.testing.assert_array_equal(collision_test(unshifted, block, tau), [expected] * 2)
+
+    def test_bin_phase(self):
+        eps0 = 1 / 200
+        shifted = np.exp(2j * np.pi * eps0 * np.array([7, 0, -50, -100, 3]))
+        unshifted = np.array([1, 1, 1, 1, 0], dtype=np.complex128)
+        expected = [bin_phase(a, b) for a, b in zip(shifted, unshifted)]
+        np.testing.assert_array_equal(bin_phase(shifted, unshifted), expected)
+        np.testing.assert_array_equal(
+            bin_phase(np.stack([shifted, shifted]), unshifted), [expected] * 2
+        )
+
+    def test_reconstruct_entry(self):
+        rng = np.random.default_rng(11)
+        sched = make_schedule(4, 0.0, 1.0, 2.0, 6.0, 2.5, 3368421)
+        half = 3368421 // 2
+        w = rng.integers(-half, half + 1, size=(3, 40))
+        noise = rng.uniform(-sched.delta, sched.delta, size=(sched.M + 1, 3, 40))
+        phases = frac_centered(sched.shifts[:, None, None] * w + noise)
+        est = reconstruct_entry(sched.shifts, phases)
+        assert est.shape == (3, 40)
+        expected = [
+            [reconstruct_entry(sched.shifts, phases[:, k, j]) for j in range(40)]
+            for k in range(3)
+        ]
+        np.testing.assert_array_equal(est, expected)
+        np.testing.assert_array_equal(finalize_entry(est), w)
+
+    def test_finalize_entry(self):
+        cases = [12344.7, -0.4, 2.5, -2.5]
+        out = finalize_entry(np.array(cases))
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [finalize_entry(x) for x in cases])
+
+    def test_accept_candidate(self):
+        votes = np.array([0, 4, 5, 18])
+        expected = [accept_candidate(v, 17, 0.25) for v in votes]
+        np.testing.assert_array_equal(accept_candidate(votes, 17, 0.25), expected)
+        with pytest.raises(ValueError):
+            accept_candidate(np.array([0, 20]), 17, 0.25)
+
+    def test_estimate_coefficient(self):
+        p = 11
+        F = dft_forward(0.3 * np.exp(2j * np.pi * 41 * np.arange(p) / p))
+        np.testing.assert_array_equal(
+            estimate_coefficient(F, p), [estimate_coefficient(f, p) for f in F]
+        )

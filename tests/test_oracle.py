@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 from conftest import separable_instance
 
-from msfourier import (
-    FourierMode,
-    RecoveryConfig,
-    SparseSpectrum,
-    centered_mod,
-    compare,
-    dense_spectrum,
-    direct_dft,
-    recover,
-)
+from msfourier import FourierMode, RecoveryConfig, SparseSpectrum, compare, recover
 from msfourier.dft import dft_forward
+from msfourier.oracle import dense_spectrum, direct_dft
+from msfourier.spectrum import centered_mod
 
 
 def test_direct_dft_dc():

@@ -6,16 +6,15 @@ from msfourier import (
     FourierMode,
     NoiseModel,
     RecoveryConfig,
-    SamplePlan,
     SparseSpectrum,
-    UnwrapMap,
     compare,
-    gather_samples,
     recover,
+    recovery,
 )
 from msfourier.cli import random_spectrum
 from msfourier.dft import dft_forward
-from msfourier.unwrap import unwrap_freq_matrix
+from msfourier.sampler import SamplePlan, gather_samples
+from msfourier.unwrap import UnwrapMap, unwrap_freq_matrix
 
 
 def test_single_mode_exact():
@@ -135,6 +134,31 @@ def test_deterministic_replay():
     second = recover(cfg, truth)
     assert first == second  # timing field excluded from comparison
     assert first.samples_used == second.samples_used
+
+
+def test_recover_runs_the_estimator_functions(monkeypatch):
+    # the estimator functions the tests check are the ones the peeling loop
+    # calls: counting wrappers see every call and change no result
+    truth = random_spectrum(20, 20, 8, seed=55)
+    cfg = RecoveryConfig(N=20, d=20, d1=5, s=8, sigma=0.256, seed=99)
+    plain = recover(cfg, truth)
+    calls = {}
+    for name in (
+        "collision_test", "bin_phase", "reconstruct_entry", "finalize_entry", "accept_candidate"
+    ):
+        def counted(*args, _fn=getattr(recovery, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(recovery, name, counted)
+    res = recover(cfg, truth)
+    assert res == plain and res.converged
+    outer = res.outer_iterations
+    assert calls["reconstruct_entry"] == calls["finalize_entry"] == outer
+    assert calls["accept_candidate"] == outer
+    # one collision test and one phase per shift level
+    assert calls["collision_test"] == calls["bin_phase"] > outer
+    assert calls["collision_test"] % outer == 0
 
 
 def test_geometry_validation():

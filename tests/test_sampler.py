@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from msfourier import (
-    FourierMode,
-    NoiseModel,
-    SamplePlan,
-    SparseSpectrum,
-    UnwrapMap,
-    evaluate_spectrum,
-    gather_samples,
-)
+from msfourier import FourierMode, NoiseModel, SparseSpectrum, evaluate_spectrum
 from msfourier.dft import dft_forward
-from msfourier.sampler import _synthesize, noise_vector
-from msfourier.unwrap import unwrap_point
+from msfourier.sampler import SamplePlan, _synthesize, gather_samples, noise_vector
+from msfourier.unwrap import UnwrapMap, unwrap_point
 
 SILENT = NoiseModel(sigma=0.0)
 

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from msfourier import (
     FourierMode,
     SparseSpectrum,
-    centered_mod,
     evaluate_spectrum,
     read_signal_file,
     write_signal_file,
 )
+from msfourier.spectrum import centered_mod
 
 
 def test_centered_mod_examples():

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from msfourier import UnwrapMap, effective_bandwidth, rewrap_freq, unwrap_freq, unwrap_point
+from msfourier.unwrap import UnwrapMap, effective_bandwidth, rewrap_freq, unwrap_freq, unwrap_point
 
 
 def make_map(N, d, d1):
