@@ -28,7 +28,13 @@ from .estimator import (
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped
 from .spectrum import FourierMode, SparseSpectrum
-from .unwrap import UnwrapMap, effective_bandwidth, rewrap_freq, unwrap_freq_matrix
+from .unwrap import (
+    UnwrapMap,
+    _image_range,
+    effective_bandwidth,
+    rewrap_freq,
+    unwrap_freq_matrix,
+)
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
 
@@ -66,6 +72,10 @@ class RecoveryConfig:
             raise ValueError(f"c1 must be >= 1, got {self.c1}")
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+        if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
+            raise ValueError(
+                f"max_outer_iterations must be None or >= 1, got {self.max_outer_iterations}"
+            )
         try:
             width = effective_bandwidth(self.N, self.d1)
         except OverflowError as exc:
@@ -105,8 +115,10 @@ def recover(
 
     umap = UnwrapMap(bandwidth=config.N, dim=config.d, block=config.d1)
     d_red = umap.reduced_dim
-    half_eff = umap.eff_bandwidth // 2
-    max_outer = config.max_outer_iterations or 10 * d_red
+    lo, hi = _image_range(umap)
+    max_outer = config.max_outer_iterations
+    if max_outer is None:
+        max_outer = 10 * d_red
 
     freqs_truth = unwrap_freq_matrix(truth.freq_array(), umap)
     coeffs_truth = truth.coeff_array()
@@ -152,34 +164,34 @@ def recover(
         bins = top_bins(F0, s_star).order
         Fu = F0[bins]
 
-        # An empty bin fails every collision test, so its M+1 votes (eta < 1)
-        # reject it; its phases read 0 and its entries are discarded.
+        # Each shift level gathers its d' vectors one by one into a block and
+        # transforms the block with one FFT. An empty bin fails every
+        # collision test, so its M+1 votes (eta < 1) reject it; its phases
+        # read 0 and its entries are discarded.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
+        block = np.empty((d_red, p), dtype=np.complex128)
         for alpha, eps in enumerate(sched.shifts.tolist()):
-            shifted = np.empty((d_red, s_star), dtype=np.complex128)
             for k in range(1, d_red + 1):
-                r = gather(
+                block[k - 1] = gather(
                     SamplePlan(p=p, axis=k_tilde, shift_axis=k, shift_size=eps, stream=stream)
                 )
                 stream += 1
-                shifted[k - 1] = dft_forward(r)[bins]
+            shifted = dft_forward(block)[:, bins]
             votes += ~np.all(collision_test(Fu, shifted, sched.tau), axis=0)
             phases[alpha] = bin_phase(shifted, Fu)
         final = finalize_entry(reconstruct_entry(sched.shifts, phases))
+        # An entry outside [lo, hi] is not an unwrapped frequency: junk.
         keep = accept_candidate(votes, M, config.eta)
-        keep &= np.all(np.abs(final) <= half_eff, axis=0)
+        keep &= np.all((final >= lo) & (final <= hi), axis=0)
+        kept = np.flatnonzero(keep)
+        freqs = rewrap_freq(final[:, kept].T, umap)
 
         # (-|coeff|, unwrapped key, coeff, rewrapped frequency) per candidate
         accepted = []
-        for idx in np.flatnonzero(keep):
-            w_vec = final[:, idx]
-            try:
-                freq = rewrap_freq(w_vec, umap)
-            except ValueError:
-                continue  # not an unwrapped frequency: the candidate is junk
+        for idx, freq in zip(kept.tolist(), freqs):
             coeff = estimate_coefficient(complex(Fu[idx]), p)
-            accepted.append((-abs(coeff), tuple(w_vec.tolist()), coeff, freq))
+            accepted.append((-abs(coeff), tuple(final[:, idx].tolist()), coeff, freq))
 
         # Conflicting candidates: the larger-magnitude coefficient wins. Full
         # ties keep bin order (complex coefficients are not orderable).

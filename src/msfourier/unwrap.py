@@ -6,6 +6,9 @@ coordinates: a point t in [0,1)^{d'} maps to g(t) whose b-th block is
 aliases to the single integer w_1 + N w_2 + ... + N^{d1-1} w_{d1}. This
 turns a d-dimensional recovery problem with bandwidth N into a
 d' = d/d1 dimensional one with bandwidth ~N^{d1}.
+
+``unwrap_freq`` and ``unwrap_point`` take one vector; ``unwrap_freq_matrix``
+and ``rewrap_freq`` take arrays of frequency rows.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .spectrum import centered_mod
 
 __all__ = [
     "UnwrapMap",
@@ -93,20 +94,37 @@ def unwrap_freq_matrix(freqs: np.ndarray, umap: UnwrapMap) -> np.ndarray:
     return freqs.reshape(len(freqs), umap.reduced_dim, umap.block) @ umap.powers()
 
 
+def _image_range(umap: UnwrapMap) -> tuple[int, int]:
+    """[lo, hi]: the integers whose balanced base-N digits fit in d1 places.
+
+    Digits lie in [-N/2, N/2), so lo = -(N/2)(N^{d1}-1)/(N-1) and
+    hi = (N/2 - 1)(N^{d1}-1)/(N-1); the N^{d1} integers in between are
+    exactly the unwrapped values of one block.
+    """
+    half = umap.eff_bandwidth // 2
+    repunit = (umap.bandwidth**umap.block - 1) // (umap.bandwidth - 1)
+    return -half, half - repunit
+
+
 def rewrap_freq(v, umap: UnwrapMap) -> np.ndarray:
-    """Invert :func:`unwrap_freq` by balanced base-N digit extraction."""
+    """Invert :func:`unwrap_freq` by balanced base-N digit extraction.
+
+    Works over leading axes: a (..., d') array of unwrapped frequencies
+    gives the (..., d) array of their full-domain frequencies, the same
+    rows as rewrapping each d'-vector alone. Entries outside the image of
+    :func:`unwrap_freq` raise ValueError.
+    """
     v = np.asarray(v, dtype=np.int64)
-    if v.shape != (umap.reduced_dim,):
-        raise ValueError(f"frequency has shape {v.shape}, expected ({umap.reduced_dim},)")
-    if np.any(np.abs(v) > umap.eff_bandwidth // 2):
-        raise ValueError(f"entry magnitude exceeds {umap.eff_bandwidth // 2}")
-    out = np.empty(umap.dim, dtype=np.int64)
+    if v.shape[-1:] != (umap.reduced_dim,):
+        raise ValueError(f"frequency has shape {v.shape}, expected (..., {umap.reduced_dim})")
+    lo, hi = _image_range(umap)
+    if np.any(v < lo) or np.any(v > hi):
+        raise ValueError(f"entries must lie in [{lo}, {hi}], the unwrapped frequencies")
     N = umap.bandwidth
-    for b, vb in enumerate(int(x) for x in v):
-        for i in range(umap.block):
-            r = centered_mod(vb, N)
-            out[b * umap.block + i] = r
-            vb = (vb - r) // N
-        if vb != 0:
-            raise ValueError(f"value {v[b]} is not an unwrapped frequency (leftover {vb})")
-    return out
+    half = N // 2
+    digits = np.empty(v.shape + (umap.block,), dtype=np.int64)
+    rest = v
+    for i in range(umap.block):
+        digits[..., i] = (rest + half) % N - half
+        rest = (rest - digits[..., i]) // N
+    return digits.reshape(v.shape[:-1] + (umap.dim,))

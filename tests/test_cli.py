@@ -104,6 +104,10 @@ def test_cli_exit_codes(tmp_path):
     proc = run_cli("recover", str(wide), "--d1", "13")
     assert proc.returncode == 1 and "exceeds 2^53" in proc.stderr
 
+    # an outer-iteration cap below 1 is refused, not read as the default
+    proc = run_cli("recover", str(sig), "--d1", "1", "--max-outer", "0")
+    assert proc.returncode == 1 and "max_outer_iterations" in proc.stderr
+
 
 def sweep_spec(tmp_path, name="sweep.csv"):
     fixed = RecoveryConfig(N=8, d=2, d1=1, s=2, seed=5)

@@ -48,6 +48,26 @@ def test_dft_matches_direct_oracle(p):
         assert np.max(np.abs(dft_forward(v) - direct_dft(v))) <= 1e-9 * p
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 131, 193, 521, 2053, 7919])
+def test_dft_block_rows_equal_vector_transforms(p):
+    # the peeling loop transforms a shift level's vectors as one block
+    rng = np.random.default_rng(p)
+    block = rng.standard_normal((7, p)) + 1j * rng.standard_normal((7, p))
+    F = dft_forward(block)
+    assert F.shape == (7, p)
+    for row, v in zip(F, block):
+        np.testing.assert_array_equal(row, dft_forward(v))
+
+
+def test_dft_rejects_empty_input():
+    with pytest.raises(ValueError):
+        dft_forward(np.zeros(0))
+    with pytest.raises(ValueError):
+        dft_forward(np.zeros((3, 0)))
+    with pytest.raises(ValueError):
+        dft_forward(1.0)
+
+
 def test_dft_random_p521_batch():
     rng = np.random.default_rng(4)
     p = 521

@@ -95,6 +95,46 @@ def test_max_outer_override():
     assert not res.converged and res.outer_iterations == 3
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_max_outer_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="max_outer_iterations"):
+        RecoveryConfig(N=8, d=2, d1=1, s=2, max_outer_iterations=cap)
+
+
+# A seeded noisy run's recorded result: frequencies in order with their
+# coefficients (samples_used and outer_iterations are in the test).
+PINNED_MODES = [
+    ((-1, -9, -7, -1, -9, 7, -2, -8, -5, -2), 0.3206908367593549 - 0.9801689248082712j),
+    ((0, 3, 9, -5, 5, 0, 5, 9, 4, 9), 1.019229530135326 + 0.1469242076129221j),
+    ((-8, -10, -3, -2, -10, 5, -4, -1, -6, -8), -0.38997616796269 + 0.9197437481215012j),
+    ((3, -8, -1, 3, 2, 9, -5, -6, 0, -7), -0.7990412471897747 + 0.5879657217366974j),
+    ((8, -1, 4, -5, -5, -10, 1, -5, 8, -3), -0.5189581816817931 + 0.8310748259034647j),
+    ((7, 8, -10, 7, -9, 5, -5, -5, -6, 1), -0.5079196787465069 - 0.837160885798961j),
+    ((0, 8, 4, 6, -6, -7, 2, -4, 8, 6), 0.9118073342742226 - 0.338902729354621j),
+    ((-1, 0, -1, 6, -6, -10, 3, 4, 3, 5), 0.8770100221426586 - 0.4005979929262747j),
+    ((-2, -5, -9, 1, 8, 2, -5, 7, -6, 0), -0.011348382192631927 - 0.9438256646655923j),
+    ((-7, -2, -10, 1, 0, 3, -8, -3, -6, 0), 0.8127745915979045 + 0.4659585230456078j),
+    ((3, 1, 0, -3, 1, -3, -5, 3, 6, 5), -0.9000711433968585 + 0.5666530274948749j),
+    ((-7, -1, 9, 1, -1, -6, 5, 0, 2, 0), 1.0299682566853674 + 0.20819834668171733j),
+    ((-9, 7, 5, 6, 7, 4, -7, -9, -2, -10), -0.5070574183556407 + 0.890573035459741j),
+    ((7, 5, -6, -4, 4, -8, -10, 8, -5, 0), 1.0111511785428906 - 0.10051095710781088j),
+    ((-5, 3, -4, -2, 6, -2, -9, 0, 8, 0), 0.10793922923938733 - 0.9764841081441622j),
+    ((-7, -9, -3, 9, 3, -1, 9, -6, -4, 0), -0.7117806381591515 + 0.6702724096380386j),
+]
+
+
+def test_pinned_noisy_recovery():
+    # a seeded noisy run over three outer iterations reproduces its recorded
+    # result exactly, coefficients up to round-off
+    truth = random_spectrum(20, 10, 16, 3)
+    res = recover(RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, seed=7), truth)
+    assert res.converged
+    assert (res.samples_used, res.outer_iterations) == (8769, 3)
+    assert [m.freq for m in res.modes.modes] == [w for w, _ in PINNED_MODES]
+    for mode, (_, coeff) in zip(res.modes.modes, PINNED_MODES):
+        assert abs(mode.coeff - coeff) <= 1e-12
+
+
 def test_peeling_soundness():
     # after convergence, re-subtracting the found modes leaves no energy
     truth = separable_instance(8, 2, 4, seed=900)

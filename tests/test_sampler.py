@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,66 @@ def test_noise_determinism_and_prefix():
         assert noise_vector(noise, 7, ell + 1)[ell] == vec[ell]
     # distinct streams are distinct
     assert noise_vector(noise, 8, 4)[3] != vec[3]
+
+
+def fresh_noise(noise, stream, p):
+    # noise_vector's definition, from a generator built for this one vector
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([noise.seed, stream], dtype=np.uint64))
+    )
+    draws = rng.standard_normal(2 * p)
+    if noise.kind == "complex-circular":
+        return noise.sigma / np.sqrt(2.0) * (draws[0::2] + 1j * draws[1::2])
+    return noise.sigma * draws[0::2] + 0j
+
+
+NOISE_CASES = [
+    (NoiseModel(sigma=0.5, seed=seed, kind=kind), stream, p)
+    for seed in (0, 42, 2**62 + 1, 2**63 - 1)
+    for kind in ("complex-circular", "real-only")
+    for stream, p in ((0, 2), (1, 131), (7, 5), (2**40 + 3, 521))
+]
+
+
+def test_noise_matches_fresh_generator_interleaved():
+    # keys, kinds and lengths change from call to call, so each call must
+    # fully re-key the generator it reuses
+    order = np.random.default_rng(12).permutation(len(NOISE_CASES))
+    for i in order:
+        noise, stream, p = NOISE_CASES[i]
+        np.testing.assert_array_equal(
+            noise_vector(noise, stream, p), fresh_noise(noise, stream, p)
+        )
+
+
+def test_noise_matches_fresh_generator_in_second_thread():
+    results = {}
+
+    def draw(tag, cases):
+        results[tag] = [noise_vector(*case) for case in cases]
+
+    cases = NOISE_CASES[::3]
+    threads = [threading.Thread(target=draw, args=(tag, cases[tag::2])) for tag in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for tag in (0, 1):
+        for case, got in zip(cases[tag::2], results[tag]):
+            np.testing.assert_array_equal(got, fresh_noise(*case))
+
+
+def test_noise_seed_keyed_exactly():
+    # seeds are keyed by their 64-bit words: -1 is 2^64 - 1, not 0, and
+    # 2^63 + 7 is not rounded to 2^63
+    def vec(seed):
+        return noise_vector(NoiseModel(sigma=1.0, seed=seed), 0, 8)
+
+    assert not np.array_equal(vec(-1), vec(0))
+    assert not np.array_equal(vec(-2), vec(0))
+    assert not np.array_equal(vec(2**63 + 7), vec(2**63))
+    np.testing.assert_array_equal(vec(-1), vec(2**64 - 1))
 
 
 def test_complex_circular_variance():
