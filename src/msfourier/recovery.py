@@ -11,6 +11,7 @@ this library does not attempt to untangle).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ from .estimator import (
     make_schedule,
     reconstruct_entry,
 )
-from .sampler import NoiseModel, SamplePlan, gather_unwrapped
+from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
 from .spectrum import FourierMode, SparseSpectrum
 from .unwrap import (
     UnwrapMap,
@@ -68,6 +69,12 @@ class RecoveryConfig:
             raise ValueError(f"d1={self.d1} must divide d={self.d}")
         if self.s < 1:
             raise ValueError(f"sparsity must be >= 1, got {self.s}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not self.a_min > 0:
+            raise ValueError(f"a_min must be > 0, got {self.a_min}")
+        if not self.beta > 1:
+            raise ValueError(f"beta must be > 1, got {self.beta}")
         if self.c1 < 1:
             raise ValueError(f"c1 must be >= 1, got {self.c1}")
         if not 0 < self.eta < 1:
@@ -130,14 +137,6 @@ def recover(
     stream = 0
     i = 0
 
-    def gather(plan: SamplePlan) -> np.ndarray:
-        nonlocal sample_seconds, samples_used
-        t0 = time.perf_counter()
-        values = gather_unwrapped(freqs_all, coeffs_all, plan, noise)
-        sample_seconds += time.perf_counter() - t0
-        samples_used += plan.p
-        return values
-
     while len(found) < config.s and i < max_outer:
         s_star = config.s - len(found)
         sched = make_schedule(
@@ -147,6 +146,7 @@ def recover(
         p, M = sched.p, sched.M
         k_tilde = (i % d_red) + 1
 
+        t0 = time.perf_counter()
         # Residual subtraction: found modes enter with negated coefficients.
         if found:
             freqs_all = np.vstack(
@@ -157,26 +157,36 @@ def recover(
             )
         else:
             freqs_all, coeffs_all = freqs_truth, coeffs_truth
-
-        r0 = gather(SamplePlan(p=p, axis=k_tilde, stream=stream))
+        # Every vector of this iteration lies on the line along k~; the
+        # (d', n) transpose keeps each shift axis's weights contiguous.
+        index = line_index(freqs_all, k_tilde, p)
+        freqs_t = np.ascontiguousarray(freqs_all.T, dtype=np.float64)
+        plan = SamplePlan(p=p, axis=k_tilde, stream=stream)
+        r0 = gather_unwrapped(index, coeffs_all, plan, noise)
         stream += 1
+        samples_used += p
+        sample_seconds += time.perf_counter() - t0
         F0 = dft_forward(r0)
         bins = top_bins(F0, s_star).order
         Fu = F0[bins]
 
-        # Each shift level gathers its d' vectors one by one into a block and
-        # transforms the block with one FFT. An empty bin fails every
-        # collision test, so its M+1 votes (eta < 1) reject it; its phases
-        # read 0 and its entries are discarded.
+        # Each shift level weights the modes for all d' shift axes at once,
+        # gathers its d' vectors one by one into a block and transforms the
+        # block with one FFT. An empty bin fails every collision test, so
+        # its M+1 votes (eta < 1) reject it; its phases read 0 and its
+        # entries are discarded.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
         block = np.empty((d_red, p), dtype=np.complex128)
         for alpha, eps in enumerate(sched.shifts.tolist()):
+            t0 = time.perf_counter()
+            weights = shift_weights(coeffs_all, freqs_t, eps)
             for k in range(1, d_red + 1):
-                block[k - 1] = gather(
-                    SamplePlan(p=p, axis=k_tilde, shift_axis=k, shift_size=eps, stream=stream)
-                )
+                plan = SamplePlan(p=p, axis=k_tilde, shift_axis=k, shift_size=eps, stream=stream)
+                block[k - 1] = gather_unwrapped(index, weights[k - 1], plan, noise)
                 stream += 1
+                samples_used += p
+            sample_seconds += time.perf_counter() - t0
             shifted = dft_forward(block)[:, bins]
             votes += ~np.all(collision_test(Fu, shifted, sched.tau), axis=0)
             phases[alpha] = bin_phase(shifted, Fu)

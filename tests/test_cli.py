@@ -108,6 +108,10 @@ def test_cli_exit_codes(tmp_path):
     proc = run_cli("recover", str(sig), "--d1", "1", "--max-outer", "0")
     assert proc.returncode == 1 and "max_outer_iterations" in proc.stderr
 
+    # a noise level that is not a finite number is refused up front
+    proc = run_cli("recover", str(sig), "--d1", "1", "--sigma", "nan")
+    assert proc.returncode == 1 and "sigma must be finite" in proc.stderr
+
 
 def sweep_spec(tmp_path, name="sweep.csv"):
     fixed = RecoveryConfig(N=8, d=2, d1=1, s=2, seed=5)

@@ -13,6 +13,7 @@ from msfourier import (
 )
 from msfourier.cli import random_spectrum
 from msfourier.dft import dft_forward
+from msfourier.estimator import make_schedule
 from msfourier.sampler import SamplePlan, gather_samples
 from msfourier.unwrap import UnwrapMap, unwrap_freq_matrix
 
@@ -211,6 +212,50 @@ def test_geometry_validation():
         RecoveryConfig(N=7, d=2, d1=1, s=1)
     with pytest.raises(ValueError):
         RecoveryConfig(N=8, d=2, d1=1, s=1, eta=1.5)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("sigma", float("nan"), "sigma"),
+        ("sigma", float("inf"), "sigma"),
+        ("sigma", -0.1, "sigma"),
+        ("a_min", 0.0, "a_min"),
+        ("a_min", -1.0, "a_min"),
+        ("a_min", float("nan"), "a_min"),
+        ("beta", 1.0, "beta"),
+        ("beta", 0.5, "beta"),
+        ("beta", float("nan"), "beta"),
+    ],
+)
+def test_noise_and_schedule_inputs_refused(field, value, message):
+    # refused when the config is built, before recover draws a sample
+    with pytest.raises(ValueError, match=message):
+        RecoveryConfig(N=20, d=10, d1=5, s=8, **{field: value})
+
+
+def test_gather_calls_match_sample_accounting(monkeypatch):
+    # one gather_unwrapped call per sample vector, each with its own plan:
+    # the plans' lengths add up to samples_used, and every outer iteration
+    # gathers one unshifted and (M+1) d' shifted vectors
+    truth = random_spectrum(20, 10, 16, 3)
+    cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, seed=7)
+    lengths = []
+
+    def counted(index, weights, plan, noise, _fn=recovery.gather_unwrapped):
+        lengths.append(plan.p)
+        return _fn(index, weights, plan, noise)
+
+    monkeypatch.setattr(recovery, "gather_unwrapped", counted)
+    res = recover(cfg, truth)
+    assert res.converged and res.outer_iterations > 1
+    assert sum(lengths) == res.samples_used
+    umap = UnwrapMap(bandwidth=20, dim=10, block=5)
+    sched = make_schedule(
+        cfg.s, cfg.sigma, cfg.a_min, cfg.c1, cfg.c_sigma, cfg.beta, umap.eff_bandwidth
+    )
+    per_iteration = (sched.M + 1) * umap.reduced_dim + 1
+    assert len(lengths) == res.outer_iterations * per_iteration
 
 
 def test_bandwidth_limit_for_exact_recovery():

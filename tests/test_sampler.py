@@ -5,7 +5,14 @@ import pytest
 
 from msfourier import FourierMode, NoiseModel, SparseSpectrum, evaluate_spectrum
 from msfourier.dft import dft_forward
-from msfourier.sampler import SamplePlan, _synthesize, gather_samples, noise_vector
+from msfourier.sampler import (
+    SamplePlan,
+    _synthesize,
+    gather_samples,
+    line_index,
+    noise_vector,
+    shift_weights,
+)
 from msfourier.unwrap import UnwrapMap, unwrap_point
 
 SILENT = NoiseModel(sigma=0.0)
@@ -70,14 +77,86 @@ def test_synthesize_matches_definition(p, n):
     rng = np.random.default_rng(p * 1000 + n)
     freqs = rng.integers(-5 * p, 5 * p, size=(n, 2))
     coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    out = _synthesize(freqs, coeffs, SamplePlan(p=p, axis=1))
+    index = line_index(freqs, 1, p)
+    out = _synthesize(index, coeffs, SamplePlan(p=p, axis=1))
     expected = direct_mode_sum(freqs[:, 0] % p, coeffs, p)
     assert np.max(np.abs(out - expected)) <= 1e-9 * n
     eps = 0.0137
-    out = _synthesize(freqs, coeffs, SamplePlan(p=p, axis=1, shift_axis=2, shift_size=eps))
+    weights = shift_weights(coeffs, freqs.T.astype(np.float64), eps)[1]
+    out = _synthesize(index, weights, SamplePlan(p=p, axis=1, shift_axis=2, shift_size=eps))
     weights = coeffs * np.exp(2j * np.pi * freqs[:, 1] * eps)
     expected = direct_mode_sum(freqs[:, 0] % p, weights, p)
     assert np.max(np.abs(out - expected)) <= 1e-9 * n
+
+
+def two_bincount_synthesis(residues, weights, p):
+    # the histogram as two real bincounts, one per part
+    hist = np.bincount(residues, weights.real, p) + 1j * np.bincount(residues, weights.imag, p)
+    return p * np.fft.ifft(hist)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (5, 40), (131, 64), (131, 500), (2053, 1024)])
+def test_one_bincount_equals_two(p, n):
+    # residues collide (n > p) or leave bins empty (n < p); the interleaved
+    # histogram must add each bin's parts in the same order, bit for bit
+    rng = np.random.default_rng(p + n)
+    freqs = rng.integers(-(10**12), 10**12, size=(n, 3))
+    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for axis in (1, 3):
+        got = _synthesize(line_index(freqs, axis, p), weights, SamplePlan(p=p, axis=axis))
+        expected = two_bincount_synthesis(freqs[:, axis - 1] % p, weights, p)
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_line_index_layout():
+    freqs = np.array([[-7, 3], [12, 0], [5, -1]], dtype=np.int64)
+    np.testing.assert_array_equal(line_index(freqs, 1, 5), [[6, 7], [4, 5], [0, 1]])
+    np.testing.assert_array_equal(line_index(freqs, 2, 5), [[6, 7], [0, 1], [8, 9]])
+    assert line_index(freqs, 1, 5).dtype == np.int64
+    assert line_index(np.empty((0, 2), dtype=np.int64), 1, 5).shape == (0, 2)
+
+
+def test_shift_weights_rows_equal_single_axis():
+    rng = np.random.default_rng(4)
+    freqs = rng.integers(-(10**15), 10**15, size=(300, 7))
+    coeffs = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    freqs_t = np.ascontiguousarray(freqs.T, dtype=np.float64)
+    for eps in (2.0**-51, 1.3e-9, 0.0137, 0.49):
+        weights = shift_weights(coeffs, freqs_t, eps)
+        assert weights.shape == (7, 300)
+        for k in range(7):
+            expected = coeffs * np.exp(2j * np.pi * (freqs[:, k].astype(float) * eps))
+            np.testing.assert_array_equal(weights[k], expected)
+            np.testing.assert_array_equal(
+                shift_weights(coeffs, freqs[:, k].astype(float), eps), expected
+            )
+
+
+def test_synthesize_weight_layouts():
+    # a strided or real weight vector is read as the values it holds, never
+    # reinterpreted through its memory layout
+    rng = np.random.default_rng(9)
+    p, n = 31, 50
+    freqs = rng.integers(-100, 100, size=(n, 2))
+    index = line_index(freqs, 1, p)
+    plan = SamplePlan(p=p, axis=1)
+    block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    column = block[:, 1]
+    assert not column.flags.c_contiguous
+    np.testing.assert_array_equal(
+        _synthesize(index, column, plan), _synthesize(index, column.copy(), plan)
+    )
+    reals = rng.standard_normal(n)
+    np.testing.assert_array_equal(
+        _synthesize(index, reals, plan), _synthesize(index, reals + 0j, plan)
+    )
+    with pytest.raises(ValueError, match="do not match"):
+        _synthesize(index, block, plan)
+    with pytest.raises(ValueError, match="do not match"):
+        _synthesize(index, column[:-1], plan)
+    # an index built for a longer line is refused, not truncated
+    with pytest.raises(ValueError, match="past p"):
+        _synthesize(line_index(freqs, 1, 37), column, plan)
 
 
 def test_zero_sigma_is_exactly_noiseless():
@@ -219,14 +298,24 @@ def test_residual_subtraction_under_noise():
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        SamplePlan(p=8, axis=1)  # not prime
+    for _ in range(2):  # the remembered primality test still refuses
+        with pytest.raises(ValueError):
+            SamplePlan(p=8, axis=1)  # not prime
     with pytest.raises(ValueError):
         SamplePlan(p=7, axis=1, shift_axis=2)  # shift size missing
     with pytest.raises(ValueError):
         SamplePlan(p=7, axis=1, shift_axis=2, shift_size=-0.1)
+    for size in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SamplePlan(p=7, axis=1, shift_axis=2, shift_size=size)
+    with pytest.raises(ValueError, match="prime int"):
+        SamplePlan(p=7.0, axis=1)
+    assert SamplePlan(p=np.int64(7), axis=1).p == 7
     with pytest.raises(ValueError):
         NoiseModel(sigma=-1.0)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(sigma=sigma)
     with pytest.raises(ValueError):
         NoiseModel(sigma=1.0, kind="pink")
 
