@@ -20,7 +20,7 @@ import numpy as np
 from .oracle import ComparisonReport, compare
 from .recovery import RecoveryConfig, RecoveryResult, recover
 from .sampler import NoiseModel
-from .spectrum import FourierMode, SparseSpectrum, read_signal_file, write_signal_file
+from .spectrum import SparseSpectrum, read_signal_file, write_signal_file
 from .estimator import make_schedule
 from .unwrap import effective_bandwidth
 
@@ -38,21 +38,15 @@ def random_spectrum(N: int, d: int, s: int, seed: int) -> SparseSpectrum:
         raise ValueError(f"cannot place {s} distinct modes in a {N}^{d} cube")
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     coeffs = np.exp(2j * np.pi * rng.random(s))
-    freqs: list[tuple[int, ...]] = []
-    seen = set()
+    # One row per draw, in draw order; a repeated row is skipped.
+    freqs: dict[tuple[int, ...], None] = {}
     while len(freqs) < s:
-        draw = tuple(int(x) for x in rng.integers(-N // 2, N // 2, size=d))
-        if draw not in seen:
-            seen.add(draw)
-            freqs.append(draw)
-    modes = tuple(FourierMode(freq=w, coeff=a) for w, a in zip(freqs, coeffs))
-    return SparseSpectrum(modes=modes, bandwidth=N, dim=d)
+        freqs.setdefault(tuple(rng.integers(-N // 2, N // 2, size=d).tolist()))
+    return SparseSpectrum.from_arrays(list(freqs), coeffs, N, d)
 
 
-def cmd_generate(N: int, d: int, d1: int, s: int, seed: int, out) -> SparseSpectrum:
+def cmd_generate(N: int, d: int, s: int, seed: int, out) -> SparseSpectrum:
     """Write a random test signal in signal-spec format."""
-    if d % d1 != 0:
-        raise ValueError(f"d1={d1} must divide d={d}")
     spec = random_spectrum(N, d, s, seed)
     write_signal_file(spec, out)
     return spec
@@ -213,14 +207,13 @@ def cli():
 @cli.command("generate")
 @click.option("--n", "N", type=int, required=True, help="bandwidth N (even)")
 @click.option("--d", type=int, required=True, help="full dimension")
-@click.option("--d1", type=int, default=1, show_default=True, help="unwrap block size")
 @click.option("--sparsity", "s", type=int, required=True, help="number of modes")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-def generate_command(N, d, d1, s, seed, out):
+def generate_command(N, d, s, seed, out):
     """Generate a random test signal."""
     try:
-        cmd_generate(N, d, d1, s, seed, out)
+        cmd_generate(N, d, s, seed, out)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {s} modes to {out}")

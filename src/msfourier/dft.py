@@ -9,11 +9,10 @@ vector at the short lengths the peeling loop uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BinRanking", "next_prime_at_least", "dft_forward", "top_bins"]
+__all__ = ["next_prime_at_least", "dft_forward", "top_bins"]
 
 
 def _is_prime(n: int) -> bool:
@@ -53,19 +52,13 @@ def dft_forward(v) -> np.ndarray:
     return np.fft.fft(v)
 
 
-@dataclass(frozen=True)
-class BinRanking:
-    """Top DFT bins by descending magnitude, ties to the lower bin index."""
+def top_bins(F, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest-magnitude bins of a DFT vector.
 
-    order: np.ndarray
-    spectrum: np.ndarray
-
-
-def top_bins(F, count: int) -> BinRanking:
-    """Rank the ``count`` largest-magnitude bins of a DFT vector."""
+    Bins come in descending magnitude, ties to the lower bin index, as int64.
+    """
     F = np.asarray(F, dtype=np.complex128)
     if count > len(F):
         raise ValueError(f"count {count} exceeds vector length {len(F)}")
     # Stable sort on negated magnitudes keeps equal-magnitude bins in index order.
-    order = np.argsort(-np.abs(F), kind="stable")[:count]
-    return BinRanking(order=order.astype(np.int64), spectrum=F)
+    return np.argsort(-np.abs(F), kind="stable")[:count].astype(np.int64)

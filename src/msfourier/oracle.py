@@ -58,8 +58,8 @@ def compare(truth: SparseSpectrum, found: SparseSpectrum) -> ComparisonReport:
     """Match by exact frequency equality; l1 error over the union support."""
     if (truth.bandwidth, truth.dim) != (found.bandwidth, found.dim):
         raise ValueError("spectra have different (N, d)")
-    t = {m.freq: m.coeff for m in truth.modes}
-    f = {m.freq: m.coeff for m in found.modes}
+    t = dict(zip(map(tuple, truth.freqs.tolist()), truth.coeffs.tolist()))
+    f = dict(zip(map(tuple, found.freqs.tolist()), found.coeffs.tolist()))
     matched = t.keys() & f.keys()
     l1 = sum(abs(t[w] - f[w]) for w in matched)
     l1 += sum(abs(a) for w, a in t.items() if w not in matched)

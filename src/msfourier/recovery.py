@@ -28,14 +28,8 @@ from .estimator import (
     reconstruct_entry,
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
-from .spectrum import FourierMode, SparseSpectrum
-from .unwrap import (
-    UnwrapMap,
-    _image_range,
-    effective_bandwidth,
-    rewrap_freq,
-    unwrap_freq_matrix,
-)
+from .spectrum import SparseSpectrum
+from .unwrap import UnwrapMap, _image_range, effective_bandwidth, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
 
@@ -73,10 +67,12 @@ class RecoveryConfig:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not self.a_min > 0:
             raise ValueError(f"a_min must be > 0, got {self.a_min}")
-        if not self.beta > 1:
-            raise ValueError(f"beta must be > 1, got {self.beta}")
-        if self.c1 < 1:
-            raise ValueError(f"c1 must be >= 1, got {self.c1}")
+        if not (math.isfinite(self.beta) and self.beta > 1):
+            raise ValueError(f"beta must be finite and > 1, got {self.beta}")
+        if not (math.isfinite(self.c1) and self.c1 >= 1):
+            raise ValueError(f"c1 must be finite and >= 1, got {self.c1}")
+        if not (math.isfinite(self.c_sigma) and self.c_sigma > 0):
+            raise ValueError(f"c_sigma must be finite and > 0, got {self.c_sigma}")
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
@@ -127,11 +123,10 @@ def recover(
     if max_outer is None:
         max_outer = 10 * d_red
 
-    freqs_truth = unwrap_freq_matrix(truth.freq_array(), umap)
-    coeffs_truth = truth.coeff_array()
+    freqs_truth = unwrap_freq(truth.freqs, umap)
 
-    # unwrapped frequency -> (coefficient, rewrapped frequency)
-    found: dict[tuple[int, ...], tuple[complex, np.ndarray]] = {}
+    # unwrapped frequency -> coefficient, in the order the modes were found
+    found: dict[tuple[int, ...], complex] = {}
     samples_used = 0
     sample_seconds = 0.0
     stream = 0
@@ -148,15 +143,11 @@ def recover(
 
         t0 = time.perf_counter()
         # Residual subtraction: found modes enter with negated coefficients.
-        if found:
-            freqs_all = np.vstack(
-                [freqs_truth, np.array(list(found.keys()), dtype=np.int64)]
-            )
-            coeffs_all = np.concatenate(
-                [coeffs_truth, -np.array([c for c, _ in found.values()], dtype=np.complex128)]
-            )
-        else:
-            freqs_all, coeffs_all = freqs_truth, coeffs_truth
+        keys = np.array(list(found), dtype=np.int64).reshape(len(found), d_red)
+        freqs_all = np.vstack([freqs_truth, keys])
+        coeffs_all = np.concatenate(
+            [truth.coeffs, -np.array(list(found.values()), dtype=np.complex128)]
+        )
         # Every vector of this iteration lies on the line along k~; the
         # (d', n) transpose keeps each shift axis's weights contiguous.
         index = line_index(freqs_all, k_tilde, p)
@@ -167,7 +158,7 @@ def recover(
         samples_used += p
         sample_seconds += time.perf_counter() - t0
         F0 = dft_forward(r0)
-        bins = top_bins(F0, s_star).order
+        bins = top_bins(F0, s_star)
         Fu = F0[bins]
 
         # Each shift level weights the modes for all d' shift axes at once,
@@ -194,28 +185,26 @@ def recover(
         # An entry outside [lo, hi] is not an unwrapped frequency: junk.
         keep = accept_candidate(votes, M, config.eta)
         keep &= np.all((final >= lo) & (final <= hi), axis=0)
-        kept = np.flatnonzero(keep)
-        freqs = rewrap_freq(final[:, kept].T, umap)
 
-        # (-|coeff|, unwrapped key, coeff, rewrapped frequency) per candidate
+        # (-|coeff|, unwrapped key, coeff) per candidate
         accepted = []
-        for idx, freq in zip(kept.tolist(), freqs):
+        for idx in np.flatnonzero(keep).tolist():
             coeff = estimate_coefficient(complex(Fu[idx]), p)
-            accepted.append((-abs(coeff), tuple(final[:, idx].tolist()), coeff, freq))
+            accepted.append((-abs(coeff), tuple(final[:, idx].tolist()), coeff))
 
         # Conflicting candidates: the larger-magnitude coefficient wins. Full
         # ties keep bin order (complex coefficients are not orderable).
         accepted.sort(key=lambda cand: cand[:2])
-        for _, key, coeff, freq in accepted:
-            if key not in found:
-                found[key] = (coeff, freq)
+        for _, key, coeff in accepted:
+            found.setdefault(key, coeff)
         i += 1
 
-    modes = tuple(
-        FourierMode(freq=tuple(freq.tolist()), coeff=coeff) for coeff, freq in found.values()
-    )
+    # Every key lies in [lo, hi], so every one rewraps.
+    keys = np.array(list(found), dtype=np.int64).reshape(len(found), d_red)
     return RecoveryResult(
-        modes=SparseSpectrum(modes=modes, bandwidth=config.N, dim=config.d),
+        modes=SparseSpectrum.from_arrays(
+            rewrap_freq(keys, umap), list(found.values()), config.N, config.d
+        ),
         samples_used=samples_used,
         outer_iterations=i,
         converged=len(found) == config.s,

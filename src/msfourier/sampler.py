@@ -37,7 +37,7 @@ import numpy as np
 
 from .dft import _is_prime
 from .spectrum import SparseSpectrum
-from .unwrap import UnwrapMap, unwrap_freq_matrix
+from .unwrap import UnwrapMap, unwrap_freq
 
 __all__ = [
     "NoiseModel",
@@ -222,15 +222,15 @@ def gather_samples(
         plan.shift_axis is not None and plan.shift_axis > umap.reduced_dim
     ):
         raise ValueError(f"plan axes exceed reduced dimension {umap.reduced_dim}")
-    freqs = unwrap_freq_matrix(spec.freq_array(), umap)
-    coeffs = spec.coeff_array()
+    freqs = unwrap_freq(spec.freqs, umap)
+    coeffs = spec.coeffs
     if residual is not None and len(residual):
         if residual.dim != umap.reduced_dim:
             raise ValueError(
                 f"residual dimension {residual.dim} != reduced dimension {umap.reduced_dim}"
             )
-        freqs = np.vstack([freqs, residual.freq_array()])
-        coeffs = np.concatenate([coeffs, -residual.coeff_array()])
+        freqs = np.vstack([freqs, residual.freqs])
+        coeffs = np.concatenate([coeffs, -residual.coeffs])
     weights = coeffs
     if plan.shift_axis is not None:
         column = freqs[:, plan.shift_axis - 1].astype(np.float64)

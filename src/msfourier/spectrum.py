@@ -4,13 +4,16 @@ A signal is a finite sum of complex exponentials
 
     f(x) = sum_j a_j * exp(2*pi*i * w_j . x),   x in [0,1)^d,
 
-with integer frequency vectors w_j in [-N/2, N/2)^d. Everything downstream
-(unwrapping, sampling, recovery) works on these mode sets.
+with integer frequency vectors w_j in [-N/2, N/2)^d. A ``SparseSpectrum``
+holds the s modes as an (s, d) frequency array and an (s,) coefficient
+array; a ``FourierMode`` is one (w_j, a_j) pair, for iteration and files.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,52 +54,76 @@ class FourierMode:
             raise ValueError(f"coefficient must be finite, got {self.coeff}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SparseSpectrum:
     """A set of Fourier modes with bandwidth and dimension metadata.
 
+    ``freqs`` is the read-only (n, dim) int64 array of frequency vectors and
+    ``coeffs`` the read-only (n,) complex128 array of their coefficients.
     Every frequency entry must lie in [-bandwidth/2, bandwidth/2) and no two
-    modes may share a frequency vector.
+    modes may share a frequency vector. Equality compares values in order.
     """
 
-    modes: tuple[FourierMode, ...]
+    freqs: np.ndarray
+    coeffs: np.ndarray
     bandwidth: int
     dim: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        if self.bandwidth < 1:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        half = self.bandwidth / 2
-        seen = set()
-        for mode in self.modes:
-            if len(mode.freq) != self.dim:
-                raise ValueError(
-                    f"frequency vector {mode.freq} has length {len(mode.freq)}, expected {self.dim}"
-                )
-            for w in mode.freq:
-                if not (-half <= w < half):
-                    raise ValueError(
-                        f"frequency entry {w} outside [-{half}, {half}) for bandwidth {self.bandwidth}"
-                    )
-            if mode.freq in seen:
-                raise ValueError(f"duplicate frequency vector {mode.freq}")
-            seen.add(mode.freq)
+    def __init__(self, modes: Iterable[FourierMode], bandwidth: int, dim: int):
+        modes = tuple(modes)
+        self._store([m.freq for m in modes], [m.coeff for m in modes], bandwidth, dim)
+
+    @classmethod
+    def from_arrays(cls, freqs, coeffs, bandwidth: int, dim: int) -> SparseSpectrum:
+        """The spectrum of copies of an (n, dim) frequency and an (n,) coefficient array."""
+        spec = cls.__new__(cls)
+        spec._store(freqs, coeffs, bandwidth, dim)
+        return spec
+
+    def _store(self, freqs, coeffs, bandwidth: int, dim: int) -> None:
+        if bandwidth < 1:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
+        raw = np.asarray(freqs)
+        lo, hi = max(-(bandwidth // 2), -(2**63)), min((bandwidth + 1) // 2, 2**63)
+        if not (np.all(raw >= lo) and np.all(raw < hi)):
+            raise ValueError(f"frequency entries must lie in [{lo}, {hi}), bandwidth and int64")
+        freqs = raw.astype(np.int64, order="C")
+        if not np.array_equal(freqs, raw):
+            raise ValueError("frequency entries must be integers")
+        coeffs = np.array(coeffs, dtype=np.complex128)
+        if not freqs.size:
+            freqs = freqs.reshape(0, dim)
+        if coeffs.ndim != 1 or freqs.shape != (len(coeffs), dim):
+            raise ValueError(
+                f"frequencies of shape {freqs.shape} and coefficients of shape "
+                f"{coeffs.shape} do not form (n, {dim}) and (n,)"
+            )
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
+        # One byte string per row: far faster to sort than np.unique(axis=0)'s records.
+        rows, counts = np.unique(freqs.view(np.dtype((np.void, 8 * dim))), return_counts=True)
+        if np.any(counts > 1):
+            dup = np.frombuffer(rows[counts.argmax()].tobytes(), np.int64)
+            raise ValueError(f"duplicate frequency vector {tuple(dup.tolist())}")
+        freqs.flags.writeable = coeffs.flags.writeable = False
+        self.__dict__.update(freqs=freqs, coeffs=coeffs, bandwidth=bandwidth, dim=dim)
+
+    @functools.cached_property
+    def modes(self) -> tuple[FourierMode, ...]:
+        """The modes as FourierMode pairs, built on first access."""
+        return tuple(map(FourierMode, map(tuple, self.freqs.tolist()), self.coeffs.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseSpectrum):
+            return NotImplemented
+        return (self.bandwidth, self.dim) == (other.bandwidth, other.dim) and (
+            np.array_equal(self.freqs, other.freqs) and np.array_equal(self.coeffs, other.coeffs)
+        )
 
     def __len__(self) -> int:
-        return len(self.modes)
-
-    def freq_array(self) -> np.ndarray:
-        """Frequencies as an (s, dim) int64 array."""
-        if not self.modes:
-            return np.empty((0, self.dim), dtype=np.int64)
-        return np.array([m.freq for m in self.modes], dtype=np.int64)
-
-    def coeff_array(self) -> np.ndarray:
-        """Coefficients as a length-s complex array."""
-        return np.array([m.coeff for m in self.modes], dtype=np.complex128)
+        return len(self.coeffs)
 
 
 def evaluate_spectrum(spec: SparseSpectrum, x) -> complex:
@@ -104,10 +131,8 @@ def evaluate_spectrum(spec: SparseSpectrum, x) -> complex:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.dim,):
         raise ValueError(f"point has shape {x.shape}, expected ({spec.dim},)")
-    if not spec.modes:
-        return 0j
-    phases = spec.freq_array().astype(np.float64) @ x
-    return complex(np.sum(spec.coeff_array() * np.exp(2j * np.pi * phases)))
+    phases = spec.freqs.astype(np.float64) @ x
+    return complex(np.sum(spec.coeffs * np.exp(2j * np.pi * phases)))
 
 
 def write_signal_file(spec: SparseSpectrum, path) -> None:
@@ -129,16 +154,15 @@ def read_signal_file(path) -> SparseSpectrum:
         if len(header) != 3:
             raise ValueError(f"malformed header {header!r}, expected 'N d s'")
         bandwidth, dim, count = (int(tok) for tok in header)
-        modes = []
+        freqs, coeffs = [], []
         for line_no, line in enumerate(fh, start=2):
             tokens = line.split()
             if not tokens:
                 continue
             if len(tokens) != 2 + dim:
                 raise ValueError(f"line {line_no}: expected {2 + dim} fields, got {len(tokens)}")
-            coeff = complex(float(tokens[0]), float(tokens[1]))
-            freq = tuple(int(tok) for tok in tokens[2:])
-            modes.append(FourierMode(freq=freq, coeff=coeff))
-    if len(modes) != count:
-        raise ValueError(f"header declares {count} modes, file holds {len(modes)}")
-    return SparseSpectrum(modes=tuple(modes), bandwidth=bandwidth, dim=dim)
+            coeffs.append(complex(float(tokens[0]), float(tokens[1])))
+            freqs.append([int(tok) for tok in tokens[2:]])
+    if len(coeffs) != count:
+        raise ValueError(f"header declares {count} modes, file holds {len(coeffs)}")
+    return SparseSpectrum.from_arrays(freqs, coeffs, bandwidth, dim)

@@ -7,8 +7,8 @@ aliases to the single integer w_1 + N w_2 + ... + N^{d1-1} w_{d1}. This
 turns a d-dimensional recovery problem with bandwidth N into a
 d' = d/d1 dimensional one with bandwidth ~N^{d1}.
 
-``unwrap_freq`` and ``unwrap_point`` take one vector; ``unwrap_freq_matrix``
-and ``rewrap_freq`` take arrays of frequency rows.
+``unwrap_point`` takes one point; ``unwrap_freq`` and ``rewrap_freq`` take
+one frequency vector or an array of frequency rows.
 """
 
 from __future__ import annotations
@@ -76,22 +76,20 @@ def unwrap_point(t, umap: UnwrapMap) -> np.ndarray:
 
 
 def unwrap_freq(w, umap: UnwrapMap) -> np.ndarray:
-    """Fold each d1-block of a frequency vector into one integer entry.
+    """Fold each d1-block of frequency vectors into one integer entry.
 
-    Satisfies exp(2 pi i w . g(t)) == exp(2 pi i unwrap_freq(w) . t) for all t.
+    Works over leading axes: a (..., d) array of frequencies gives the
+    (..., d') array of their unwrapped frequencies, and each row satisfies
+    exp(2 pi i w . g(t)) == exp(2 pi i unwrap_freq(w) . t) for all t.
+    Entries outside [-N/2, N/2) raise ValueError.
     """
     w = np.asarray(w, dtype=np.int64)
-    if w.shape != (umap.dim,):
-        raise ValueError(f"frequency has shape {w.shape}, expected ({umap.dim},)")
+    if w.shape[-1:] != (umap.dim,):
+        raise ValueError(f"frequency has shape {w.shape}, expected (..., {umap.dim})")
     half = umap.bandwidth // 2
     if np.any(w < -half) or np.any(w >= half):
         raise ValueError(f"frequency entries must lie in [-{half}, {half})")
-    return w.reshape(umap.reduced_dim, umap.block) @ umap.powers()
-
-
-def unwrap_freq_matrix(freqs: np.ndarray, umap: UnwrapMap) -> np.ndarray:
-    """Vectorized :func:`unwrap_freq` for an (s, d) int64 array (no validation)."""
-    return freqs.reshape(len(freqs), umap.reduced_dim, umap.block) @ umap.powers()
+    return w.reshape(w.shape[:-1] + (umap.reduced_dim, umap.block)) @ umap.powers()
 
 
 def _image_range(umap: UnwrapMap) -> tuple[int, int]:

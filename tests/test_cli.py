@@ -31,16 +31,16 @@ def run_cli(*args):
 
 def test_generate_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    cmd_generate(8, 2, 1, 4, seed=3, out=a)
-    cmd_generate(8, 2, 1, 4, seed=3, out=b)
+    cmd_generate(8, 2, 4, seed=3, out=a)
+    cmd_generate(8, 2, 4, seed=3, out=b)
     assert a.read_bytes() == b.read_bytes()
-    cmd_generate(8, 2, 1, 4, seed=4, out=b)
+    cmd_generate(8, 2, 4, seed=4, out=b)
     assert a.read_bytes() != b.read_bytes()
 
 
 def test_generate_unit_circle_and_distinct(tmp_path):
     path = tmp_path / "sig.txt"
-    spec = cmd_generate(20, 6, 2, 32, seed=0, out=path)
+    spec = cmd_generate(20, 6, 32, seed=0, out=path)
     for mode in spec.modes:
         assert abs(abs(mode.coeff) - 1.0) <= 1e-12
     freqs = [m.freq for m in spec.modes]
@@ -50,13 +50,13 @@ def test_generate_unit_circle_and_distinct(tmp_path):
 
 def test_generate_overfull_cube(tmp_path):
     with pytest.raises(ValueError):
-        cmd_generate(2, 2, 1, 5, seed=0, out=tmp_path / "x.txt")
+        cmd_generate(2, 2, 5, seed=0, out=tmp_path / "x.txt")
 
 
 def test_recover_noiseless_single_mode(tmp_path):
     sig = tmp_path / "sig.txt"
     out = tmp_path / "rec.txt"
-    cmd_generate(20, 4, 2, 1, seed=9, out=sig)
+    cmd_generate(20, 4, 1, seed=9, out=sig)
     config = RecoveryConfig(N=20, d=4, d1=2, s=1)
     outcome = cmd_recover(sig, config, out=out)
     assert outcome.result.converged
@@ -100,7 +100,7 @@ def test_cli_exit_codes(tmp_path):
 
     # effective bandwidth above 2^53: refused before any sample is drawn
     wide = tmp_path / "wide.txt"
-    cmd_generate(20, 13, 13, 8, seed=501, out=wide)
+    cmd_generate(20, 13, 8, seed=501, out=wide)
     proc = run_cli("recover", str(wide), "--d1", "13")
     assert proc.returncode == 1 and "exceeds 2^53" in proc.stderr
 

@@ -15,7 +15,7 @@ from msfourier.cli import random_spectrum
 from msfourier.dft import dft_forward
 from msfourier.estimator import make_schedule
 from msfourier.sampler import SamplePlan, gather_samples
-from msfourier.unwrap import UnwrapMap, unwrap_freq_matrix
+from msfourier.unwrap import UnwrapMap, unwrap_freq
 
 
 def test_single_mode_exact():
@@ -143,7 +143,7 @@ def test_peeling_soundness():
     res = recover(cfg, truth)
     assert res.converged
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    found_unwrapped = unwrap_freq_matrix(res.modes.freq_array(), umap)
+    found_unwrapped = unwrap_freq(res.modes.freqs, umap)
     residual = SparseSpectrum(
         modes=tuple(
             FourierMode(tuple(int(x) for x in row), m.coeff)
@@ -226,6 +226,13 @@ def test_geometry_validation():
         ("beta", 1.0, "beta"),
         ("beta", 0.5, "beta"),
         ("beta", float("nan"), "beta"),
+        ("beta", float("inf"), "beta"),
+        ("c1", float("nan"), "c1"),
+        ("c1", float("inf"), "c1"),
+        ("c_sigma", float("nan"), "c_sigma"),
+        ("c_sigma", float("inf"), "c_sigma"),
+        ("c_sigma", -1.0, "c_sigma"),
+        ("c_sigma", 0.0, "c_sigma"),
     ],
 )
 def test_noise_and_schedule_inputs_refused(field, value, message):

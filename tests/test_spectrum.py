@@ -99,6 +99,48 @@ def test_mode_invariants():
     # -N/2 is inside the half-open range
     SparseSpectrum(modes=(FourierMode((-4,), 1.0),), bandwidth=8, dim=1)
 
+    s = SparseSpectrum(
+        modes=(FourierMode((1, -4), 0.5j), FourierMode((-3, 2), 1.0), FourierMode((0, 3), -2.0)),
+        bandwidth=8,
+        dim=2,
+    )
+    assert s.freqs.dtype == np.int64 and s.freqs.shape == (3, 2)
+    assert s.coeffs.dtype == np.complex128 and s.coeffs.shape == (3,)
+    back = SparseSpectrum.from_arrays(s.freqs, s.coeffs, 8, 2)
+    assert back == s and back.modes == s.modes and type(back.modes[0].freq[0]) is int
+    assert SparseSpectrum(modes=back.modes, bandwidth=8, dim=2) == s
+    assert s != SparseSpectrum(modes=s.modes[::-1], bandwidth=8, dim=2)  # ordered
+    assert s != SparseSpectrum.from_arrays(s.freqs, s.coeffs + 1e-16j, 8, 2)  # exact
+    assert s != SparseSpectrum.from_arrays(s.freqs, s.coeffs, 10, 2)
+    assert SparseSpectrum.from_arrays([], [], 8, 2) == SparseSpectrum((), 8, 2)
+    for arr in (s.freqs, s.coeffs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(TypeError):
+        hash(s)
+
+    # both constructors raise ValueError, never OverflowError, for each case
+    for freqs, coeffs, bandwidth in [
+        ([(4, 0)], [1.0], 8),  # 4 >= N/2
+        ([(0, -5)], [1.0], 8),  # -5 < -N/2
+        ([(1, 2), (1, 2)], [1.0, 2.0], 8),  # duplicate rows
+        ([(1, 2)], [complex("nan")], 8),
+        ([(1, 2)], [complex(1, float("inf"))], 8),
+        ([(1, 2, 3)], [1.0], 8),  # row length 3, dim 2
+        ([(1, 2), (3,)], [1.0, 1.0], 8),
+        ([(2**70, 0)], [1.0], 2**72),  # in range but beyond int64
+    ]:
+        with pytest.raises(ValueError):
+            SparseSpectrum.from_arrays(freqs, coeffs, bandwidth, 2)
+        with pytest.raises(ValueError):
+            modes = [FourierMode(w, a) for w, a in zip(freqs, coeffs)]
+            SparseSpectrum(modes=modes, bandwidth=bandwidth, dim=2)
+    # arrays are read by value: no truncation and no wrap-around to int64
+    for freqs in ([[1.5, 0]], [[np.nan, 0]], np.array([[2**63, 0]], dtype=np.uint64)):
+        with pytest.raises(ValueError):
+            SparseSpectrum.from_arrays(freqs, [1.0], 2**72, 2)
+
 
 def test_signal_file_roundtrip(tmp_path):
     spec = SparseSpectrum(

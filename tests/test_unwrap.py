@@ -9,7 +9,6 @@ from msfourier.unwrap import (
     effective_bandwidth,
     rewrap_freq,
     unwrap_freq,
-    unwrap_freq_matrix,
     unwrap_point,
 )
 
@@ -53,6 +52,8 @@ def test_unwrap_freq_range_check():
     umap = make_map(20, 4, 2)
     with pytest.raises(ValueError):
         unwrap_freq([10, 0, 0, 0], umap)  # 10 >= N/2
+    with pytest.raises(ValueError):
+        unwrap_freq([[0, 0, 0, 0], [0, -11, 0, 0]], umap)  # one bad row refuses the array
 
 
 def test_rewrap_examples():
@@ -88,7 +89,7 @@ def test_rewrap_matrix_equals_rows():
     rng = np.random.default_rng(9)
     umap = make_map(20, 10, 5)
     freqs = rng.integers(-10, 10, size=(6, 10))
-    unwrapped = unwrap_freq_matrix(freqs, umap)
+    unwrapped = unwrap_freq(freqs, umap)
     out = rewrap_freq(unwrapped, umap)
     assert out.shape == (6, 10)
     for row, v in zip(out, unwrapped):
@@ -129,7 +130,7 @@ def test_image_range_standard_size():
         v = np.arange(start, min(start + 2**18, hi + 1), dtype=np.int64)[:, None]
         w = rewrap_freq(v, umap)
         assert np.all((w >= -10) & (w < 10))
-        np.testing.assert_array_equal(unwrap_freq_matrix(w, umap), v)
+        np.testing.assert_array_equal(unwrap_freq(w, umap), v)
     for v in (lo - 1, hi + 1, umap.eff_bandwidth // 2):
         with pytest.raises(ValueError):
             rewrap_freq([v], umap)
