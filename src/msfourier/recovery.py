@@ -152,7 +152,7 @@ def recover(
         # (d', n) transpose keeps each shift axis's weights contiguous.
         index = line_index(freqs_all, k_tilde, p)
         freqs_t = np.ascontiguousarray(freqs_all.T, dtype=np.float64)
-        plan = SamplePlan(p=p, axis=k_tilde, stream=stream)
+        plan = SamplePlan(p=p, stream=stream)
         r0 = gather_unwrapped(index, coeffs_all, plan, noise)
         stream += 1
         samples_used += p
@@ -173,7 +173,7 @@ def recover(
             t0 = time.perf_counter()
             weights = shift_weights(coeffs_all, freqs_t, eps)
             for k in range(1, d_red + 1):
-                plan = SamplePlan(p=p, axis=k_tilde, shift_axis=k, shift_size=eps, stream=stream)
+                plan = SamplePlan(p=p, stream=stream)
                 block[k - 1] = gather_unwrapped(index, weights[k - 1], plan, noise)
                 stream += 1
                 samples_used += p

@@ -1,22 +1,25 @@
 """Noisy point sampling of the composed signal along projection axes.
 
-One sample vector holds p equispaced evaluations along coordinate axis
-k~ of the reduced domain, optionally shifted by eps along axis k:
+One sample vector holds p equispaced evaluations of a signal in the
+reduced d'-dimensional domain along coordinate axis k~, optionally shifted
+by eps along axis k, plus noise:
 
-    values[l] = f(g(t_l)) + n_l - q(t_l),   t_l = (l/p) e_k~ (+ eps e_k),
+    values[l] = sum_j a_j exp(2 pi i (w_j[k~] l / p + w_j[k] eps)) + n_l.
 
-where q subtracts the modes recovered so far. Because t_l has at most two
-nonzero coordinates, f(g(t_l)) collapses to a sum over the unwrapped
-frequencies' k~ residues mod p (the exponent identity of the unwrap map):
-a histogram of the residues, weighted by the coefficients times the shift
-phases exp(2 pi i w_k eps), followed by one inverse FFT of length p.
+The modes (w_j, a_j) are the unwrapped frequencies of the composed signal
+f(g(t)) and their coefficients (see ``unwrap``); the residual of the
+peeling loop is the same sum with the found modes appended under negated
+coefficients. Because the sample points have at most two nonzero
+coordinates, the sum collapses to a histogram of the residues w_j[k~] mod
+p, weighted by a_j exp(2 pi i w_j[k] eps), followed by one inverse FFT of
+length p.
 
 The residues depend only on the line (axis k~ and p) and the shift phases
 only on the shift (axis k and eps), so they are built apart from the
 vectors: ``line_index`` once per line and ``shift_weights`` once per shift
-size, for all d' shift axes at once. Every vector of that line then costs
-one ``bincount`` over the interleaved real and imaginary parts and one
-inverse FFT.
+size, for all d' shift axes at once. ``gather_unwrapped`` then costs one
+``bincount`` over the interleaved real and imaginary parts of the weights,
+one inverse FFT and one noise draw per vector.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64), so one run is exactly
@@ -36,8 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dft import _is_prime
-from .spectrum import SparseSpectrum
-from .unwrap import UnwrapMap, unwrap_freq
 
 __all__ = [
     "NoiseModel",
@@ -45,7 +46,6 @@ __all__ = [
     "noise_vector",
     "line_index",
     "shift_weights",
-    "gather_samples",
     "gather_unwrapped",
 ]
 
@@ -77,30 +77,18 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Geometry of one length-p sample vector (axes are 1-based).
+    """Length p of one sample vector and the tag of its noise stream.
 
-    ``stream`` tags the noise stream; callers gathering repeatedly must use
-    distinct tags to draw independent noise per vector.
+    Callers gathering repeatedly must use distinct ``stream`` tags to draw
+    independent noise per vector.
     """
 
     p: int
-    axis: int
-    shift_axis: int | None = None
-    shift_size: float | None = None
     stream: int = 0
 
     def __post_init__(self):
         if not isinstance(self.p, (int, np.integer)) or not _prime_length(self.p):
             raise ValueError(f"sample length must be a prime int, got {self.p!r}")
-        if self.axis < 1:
-            raise ValueError(f"axis must be >= 1, got {self.axis}")
-        if (self.shift_axis is None) != (self.shift_size is None):
-            raise ValueError("shift_axis and shift_size must be given together")
-        if self.shift_axis is not None:
-            if self.shift_axis < 1:
-                raise ValueError(f"shift_axis must be >= 1, got {self.shift_axis}")
-            if not (math.isfinite(self.shift_size) and self.shift_size > 0):
-                raise ValueError(f"shift_size must be finite and > 0, got {self.shift_size}")
 
 
 _local = threading.local()
@@ -189,50 +177,14 @@ def gather_unwrapped(
 ) -> np.ndarray:
     """Sample vector from pre-unwrapped modes: a line index and their weights.
 
-    ``index`` is ``line_index(freqs, plan.axis, plan.p)`` of the (n, d')
-    unwrapped frequencies; ``weights`` are the coefficients, or for a
-    shifted plan ``shift_weights`` at its shift axis and size. Residual
-    subtraction is expressed by appending residual modes with negated
-    coefficients.
+    ``index`` is ``line_index(freqs, axis, plan.p)`` of the (n, d')
+    unwrapped frequencies along the sampled axis; ``weights`` are the
+    coefficients, or for a shifted vector ``shift_weights`` at its shift
+    axis and size. Residual subtraction is expressed by appending residual
+    modes with negated coefficients.
     """
     values = _synthesize(index, weights, plan)
     if noise.sigma:
         values = values + noise_vector(noise, plan.stream, plan.p)
     return values
 
-
-def gather_samples(
-    spec: SparseSpectrum,
-    umap: UnwrapMap,
-    plan: SamplePlan,
-    noise: NoiseModel,
-    residual: SparseSpectrum | None = None,
-) -> np.ndarray:
-    """values[l] = f(g(t_l)) + n_l - q(t_l) for the ground truth ``spec``.
-
-    ``spec`` lives in the full d-dimensional domain; ``residual`` modes (the
-    function q) live in the reduced d'-dimensional domain.
-    """
-    if spec.dim != umap.dim or spec.bandwidth != umap.bandwidth:
-        raise ValueError(
-            f"spectrum geometry ({spec.bandwidth}, {spec.dim}) does not match map "
-            f"({umap.bandwidth}, {umap.dim})"
-        )
-    if plan.axis > umap.reduced_dim or (
-        plan.shift_axis is not None and plan.shift_axis > umap.reduced_dim
-    ):
-        raise ValueError(f"plan axes exceed reduced dimension {umap.reduced_dim}")
-    freqs = unwrap_freq(spec.freqs, umap)
-    coeffs = spec.coeffs
-    if residual is not None and len(residual):
-        if residual.dim != umap.reduced_dim:
-            raise ValueError(
-                f"residual dimension {residual.dim} != reduced dimension {umap.reduced_dim}"
-            )
-        freqs = np.vstack([freqs, residual.freqs])
-        coeffs = np.concatenate([coeffs, -residual.coeffs])
-    weights = coeffs
-    if plan.shift_axis is not None:
-        column = freqs[:, plan.shift_axis - 1].astype(np.float64)
-        weights = shift_weights(coeffs, column, plan.shift_size)
-    return gather_unwrapped(line_index(freqs, plan.axis, plan.p), weights, plan, noise)

@@ -21,23 +21,10 @@ import numpy as np
 __all__ = [
     "FourierMode",
     "SparseSpectrum",
-    "centered_mod",
     "evaluate_spectrum",
     "read_signal_file",
     "write_signal_file",
 ]
-
-
-def centered_mod(v: int, n: int) -> int:
-    """Balanced residue of ``v`` modulo ``n``.
-
-    Returns the unique r with r == v (mod n) and -ceil(n/2) <= r < n - ceil(n/2);
-    for even n that is the half-open interval [-n/2, n/2).
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be >= 1, got {n}")
-    half = (n + 1) // 2
-    return (v + half) % n - half
 
 
 @dataclass(frozen=True)
@@ -48,7 +35,14 @@ class FourierMode:
     coeff: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "freq", tuple(int(w) for w in self.freq))
+        raw = tuple(self.freq)
+        try:
+            freq = tuple(map(int, raw))
+        except (ValueError, OverflowError):  # int(nan), int(inf)
+            freq = None
+        if freq != raw:
+            raise ValueError(f"frequency entries must be integers, got {raw}")
+        object.__setattr__(self, "freq", freq)
         object.__setattr__(self, "coeff", complex(self.coeff))
         if not (math.isfinite(self.coeff.real) and math.isfinite(self.coeff.imag)):
             raise ValueError(f"coefficient must be finite, got {self.coeff}")

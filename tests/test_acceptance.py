@@ -18,9 +18,8 @@ from msfourier.estimator import (
     reconstruct_entry,
 )
 from msfourier.oracle import dense_spectrum, direct_dft
-from msfourier.sampler import SamplePlan, gather_samples
-from msfourier.spectrum import centered_mod
-from msfourier.unwrap import UnwrapMap
+from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
+from msfourier.unwrap import UnwrapMap, unwrap_freq
 
 SIGMA = 0.512
 N_EFF_D100 = 3368421  # effective bandwidth for N=20, d1=5
@@ -84,9 +83,10 @@ def test_criterion_2_coefficient_error_bound(heavy_noise_runs):
     noise = NoiseModel(sigma=SIGMA, seed=23)
 
     def median_coeff_error(p, n=400):
+        index = line_index(unwrap_freq(spec.freqs, umap), 1, p)
         errs = []
         for stream in range(n):
-            vals = gather_samples(spec, umap, SamplePlan(p=p, axis=1, stream=stream), noise)
+            vals = gather_unwrapped(index, spec.coeffs, SamplePlan(p=p, stream=stream), noise)
             errs.append(abs(estimate_coefficient(dft_forward(vals)[3 % p], p) - 1.0))
         return float(np.median(errs))
 
@@ -137,10 +137,9 @@ def test_criterion_4_oracle_equivalence_tiny_scale():
         result = recover(RecoveryConfig(N=8, d=2, d1=1, s=s), truth)
         assert result.converged, f"instance {i} did not converge"
         grid = dense_spectrum(truth, 8, 2)
-        idx = np.nonzero(np.abs(grid) > 1e-9)
-        support = {
-            tuple(centered_mod(int(x), 8) for x in point) for point in zip(*idx)
-        }
+        # grid index i holds frequency i mod 8: its balanced residue in [-4, 4)
+        idx = np.argwhere(np.abs(grid) > 1e-9)
+        support = set(map(tuple, ((idx + 4) % 8 - 4).tolist()))
         assert support == {m.freq for m in result.modes.modes}, f"instance {i} support"
         for mode in result.modes.modes:
             assert abs(grid[mode.freq[0] % 8, mode.freq[1] % 8] - mode.coeff) <= 1e-9
@@ -228,12 +227,13 @@ def test_criterion_8_noise_model_statistics():
     p, sigma, n = 31, 0.5, 10**4
     spec = SparseSpectrum(modes=(FourierMode((3, 1), 1.0),), bandwidth=8, dim=2)
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    clean = gather_samples(spec, umap, SamplePlan(p=p, axis=1), NoiseModel(sigma=0.0))
+    index = line_index(unwrap_freq(spec.freqs, umap), 1, p)
+    clean = gather_unwrapped(index, spec.coeffs, SamplePlan(p=p), NoiseModel(sigma=0.0))
     target = dft_forward(clean)[3 % p]
     noise = NoiseModel(sigma=sigma, seed=808)
     values = np.empty(n, dtype=np.complex128)
     for stream in range(n):
-        vals = gather_samples(spec, umap, SamplePlan(p=p, axis=1, stream=stream), noise)
+        vals = gather_unwrapped(index, spec.coeffs, SamplePlan(p=p, stream=stream), noise)
         values[stream] = dft_forward(vals)[3 % p]
     total_var = p * sigma**2
     mean_dev = abs(values.mean() - target)

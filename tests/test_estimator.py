@@ -15,8 +15,8 @@ from msfourier.estimator import (
     make_schedule,
     reconstruct_entry,
 )
-from msfourier.sampler import SamplePlan, gather_samples
-from msfourier.unwrap import UnwrapMap
+from msfourier.sampler import SamplePlan, gather_unwrapped, line_index, shift_weights
+from msfourier.unwrap import UnwrapMap, unwrap_freq
 
 
 class TestSchedule:
@@ -50,6 +50,11 @@ class TestSchedule:
             make_schedule(4, -0.1, 1.0, 2.0, 6.0, 2.5, 99)
         with pytest.raises(ValueError):
             make_schedule(4, 0.1, 0.0, 2.0, 6.0, 2.5, 99)
+        for beta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="beta"):
+                make_schedule(4, 0.1, 1.0, 2.0, 6.0, beta, 99)
+        with pytest.raises(ValueError, match="sigma"):
+            make_schedule(4, float("nan"), 1.0, 2.0, 6.0, 2.5, 99)
 
 
 class TestCollisionTest:
@@ -216,9 +221,10 @@ class TestCoefficientEstimate:
         spec = SparseSpectrum(modes=(FourierMode((3, 1), a),), bandwidth=8, dim=2)
         umap = UnwrapMap(bandwidth=8, dim=2, block=1)
         noise = NoiseModel(sigma=sigma, seed=21)
+        index = line_index(unwrap_freq(spec.freqs, umap), 1, p)
         errors = []
         for stream in range(300):
-            vals = gather_samples(spec, umap, SamplePlan(p=p, axis=1, stream=stream), noise)
+            vals = gather_unwrapped(index, spec.coeffs, SamplePlan(p=p, stream=stream), noise)
             est = estimate_coefficient(dft_forward(vals)[3 % p], p)
             errors.append(abs(est - a))
         assert np.mean(errors) <= 3 * sigma / math.sqrt(p)
@@ -230,19 +236,18 @@ def test_noise_error_scaling_for_entries():
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
     eps0 = 1 / (2 * umap.eff_bandwidth)
     w_true = 3.0
+    freqs = unwrap_freq(spec.freqs, umap)
+    # line and shift both along axis 1
+    weights = shift_weights(spec.coeffs, freqs[:, 0].astype(np.float64), eps0)
 
     def median_error(p, sigma, n=300):
         noise = NoiseModel(sigma=sigma, seed=31)
+        index = line_index(freqs, 1, p)
         errs = []
         for stream in range(n):
-            base = gather_samples(
-                spec, umap, SamplePlan(p=p, axis=1, stream=2 * stream), noise
-            )
-            shifted = gather_samples(
-                spec,
-                umap,
-                SamplePlan(p=p, axis=1, shift_axis=1, shift_size=eps0, stream=2 * stream + 1),
-                noise,
+            base = gather_unwrapped(index, spec.coeffs, SamplePlan(p=p, stream=2 * stream), noise)
+            shifted = gather_unwrapped(
+                index, weights, SamplePlan(p=p, stream=2 * stream + 1), noise
             )
             m = 3 % p
             est = first_level_entry(dft_forward(shifted)[m], dft_forward(base)[m], eps0)

@@ -5,7 +5,6 @@ from conftest import separable_instance
 from msfourier import FourierMode, RecoveryConfig, SparseSpectrum, compare, recover
 from msfourier.dft import dft_forward
 from msfourier.oracle import dense_spectrum, direct_dft
-from msfourier.spectrum import centered_mod
 
 
 def test_direct_dft_dc():
@@ -54,8 +53,9 @@ def test_dense_spectrum_size_guard():
 
 
 def dense_support(grid, N):
-    idx = np.nonzero(np.abs(grid) > 1e-9)
-    return {tuple(centered_mod(int(i), N) for i in point) for point in zip(*idx)}
+    # grid index i holds frequency i mod N: its balanced residue in [-N/2, N/2)
+    idx = np.argwhere(np.abs(grid) > 1e-9)
+    return set(map(tuple, ((idx + N // 2) % N - N // 2).tolist()))
 
 
 def test_recovery_matches_dense_oracle():

@@ -14,7 +14,7 @@ from msfourier import (
 from msfourier.cli import random_spectrum
 from msfourier.dft import dft_forward
 from msfourier.estimator import make_schedule
-from msfourier.sampler import SamplePlan, gather_samples
+from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
 from msfourier.unwrap import UnwrapMap, unwrap_freq
 
 
@@ -143,19 +143,13 @@ def test_peeling_soundness():
     res = recover(cfg, truth)
     assert res.converged
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    found_unwrapped = unwrap_freq(res.modes.freqs, umap)
-    residual = SparseSpectrum(
-        modes=tuple(
-            FourierMode(tuple(int(x) for x in row), m.coeff)
-            for row, m in zip(found_unwrapped, res.modes.modes)
-        ),
-        bandwidth=umap.eff_bandwidth,
-        dim=umap.reduced_dim,
-    )
+    # the found modes enter with negated coefficients, as in recover
+    freqs = np.vstack([unwrap_freq(truth.freqs, umap), unwrap_freq(res.modes.freqs, umap)])
+    coeffs = np.concatenate([truth.coeffs, -res.modes.coeffs])
     p = 11
     for axis in (1, 2):
-        vals = gather_samples(
-            truth, umap, SamplePlan(p=p, axis=axis), NoiseModel(sigma=0.0), residual=residual
+        vals = gather_unwrapped(
+            line_index(freqs, axis, p), coeffs, SamplePlan(p=p), NoiseModel(sigma=0.0)
         )
         assert np.max(np.abs(dft_forward(vals))) <= 1e-6 * p
 

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 
 import numpy as np
@@ -8,12 +9,12 @@ from msfourier.dft import dft_forward
 from msfourier.sampler import (
     SamplePlan,
     _synthesize,
-    gather_samples,
+    gather_unwrapped,
     line_index,
     noise_vector,
     shift_weights,
 )
-from msfourier.unwrap import UnwrapMap, unwrap_point
+from msfourier.unwrap import UnwrapMap, unwrap_freq, unwrap_point
 
 SILENT = NoiseModel(sigma=0.0)
 
@@ -21,19 +22,22 @@ SILENT = NoiseModel(sigma=0.0)
 def test_dc_mode_gives_ones():
     spec = SparseSpectrum(modes=(FourierMode((0, 0), 1.0),), bandwidth=8, dim=2)
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    vals = gather_samples(spec, umap, SamplePlan(p=7, axis=1), SILENT)
+    index = line_index(unwrap_freq(spec.freqs, umap), 1, 7)
+    vals = gather_unwrapped(index, spec.coeffs, SamplePlan(p=7), SILENT)
     np.testing.assert_allclose(vals, np.ones(7), atol=1e-12)
 
 
 def test_single_tone_values():
     spec = SparseSpectrum(modes=(FourierMode((3, 0), 1.0),), bandwidth=8, dim=2)
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    vals = gather_samples(spec, umap, SamplePlan(p=5, axis=1), SILENT)
+    index = line_index(unwrap_freq(spec.freqs, umap), 1, 5)
+    vals = gather_unwrapped(index, spec.coeffs, SamplePlan(p=5), SILENT)
     np.testing.assert_allclose(vals, np.exp(2j * np.pi * 3 * np.arange(5) / 5), atol=1e-12)
 
 
 def test_matches_brute_force_composition():
-    # against direct evaluation of f(g(t)) at shifted points
+    # the shifted vector recover gathers (line along axis 2, shift along
+    # axis 1) against direct evaluation of f(g(t)) at the shifted points
     rng = np.random.default_rng(6)
     modes = tuple(
         FourierMode(tuple(rng.integers(-10, 10, size=4)), complex(*rng.standard_normal(2)))
@@ -41,8 +45,9 @@ def test_matches_brute_force_composition():
     )
     spec = SparseSpectrum(modes=modes, bandwidth=20, dim=4)
     umap = UnwrapMap(bandwidth=20, dim=4, block=2)
-    plan = SamplePlan(p=7, axis=2, shift_axis=1, shift_size=0.013)
-    vals = gather_samples(spec, umap, plan, SILENT)
+    freqs = unwrap_freq(spec.freqs, umap)
+    weights = shift_weights(spec.coeffs, freqs[:, 0].astype(np.float64), 0.013)
+    vals = gather_unwrapped(line_index(freqs, 2, 7), weights, SamplePlan(p=7), SILENT)
     basis = np.eye(2)
     for ell in range(7):
         t = (ell / 7) * basis[1] + 0.013 * basis[0]
@@ -57,10 +62,11 @@ def test_residual_cancels_truth():
     )
     spec = SparseSpectrum(modes=modes, bandwidth=8, dim=2)
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    residual = SparseSpectrum(
-        modes=spec.modes, bandwidth=umap.eff_bandwidth, dim=umap.reduced_dim
-    )
-    vals = gather_samples(spec, umap, SamplePlan(p=7, axis=1), SILENT, residual=residual)
+    # block 1 unwraps to the same frequencies: the modes are their own residual,
+    # stacked under negated coefficients
+    freqs = np.vstack([unwrap_freq(spec.freqs, umap), spec.freqs])
+    coeffs = np.concatenate([spec.coeffs, -spec.coeffs])
+    vals = gather_unwrapped(line_index(freqs, 1, 7), coeffs, SamplePlan(p=7), SILENT)
     assert np.max(np.abs(vals)) <= 1e-9
 
 
@@ -78,12 +84,12 @@ def test_synthesize_matches_definition(p, n):
     freqs = rng.integers(-5 * p, 5 * p, size=(n, 2))
     coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     index = line_index(freqs, 1, p)
-    out = _synthesize(index, coeffs, SamplePlan(p=p, axis=1))
+    out = _synthesize(index, coeffs, SamplePlan(p=p))
     expected = direct_mode_sum(freqs[:, 0] % p, coeffs, p)
     assert np.max(np.abs(out - expected)) <= 1e-9 * n
     eps = 0.0137
     weights = shift_weights(coeffs, freqs.T.astype(np.float64), eps)[1]
-    out = _synthesize(index, weights, SamplePlan(p=p, axis=1, shift_axis=2, shift_size=eps))
+    out = _synthesize(index, weights, SamplePlan(p=p))
     weights = coeffs * np.exp(2j * np.pi * freqs[:, 1] * eps)
     expected = direct_mode_sum(freqs[:, 0] % p, weights, p)
     assert np.max(np.abs(out - expected)) <= 1e-9 * n
@@ -103,7 +109,7 @@ def test_one_bincount_equals_two(p, n):
     freqs = rng.integers(-(10**12), 10**12, size=(n, 3))
     weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for axis in (1, 3):
-        got = _synthesize(line_index(freqs, axis, p), weights, SamplePlan(p=p, axis=axis))
+        got = _synthesize(line_index(freqs, axis, p), weights, SamplePlan(p=p))
         expected = two_bincount_synthesis(freqs[:, axis - 1] % p, weights, p)
         np.testing.assert_array_equal(got, expected)
 
@@ -139,7 +145,7 @@ def test_synthesize_weight_layouts():
     p, n = 31, 50
     freqs = rng.integers(-100, 100, size=(n, 2))
     index = line_index(freqs, 1, p)
-    plan = SamplePlan(p=p, axis=1)
+    plan = SamplePlan(p=p)
     block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     column = block[:, 1]
     assert not column.flags.c_contiguous
@@ -253,15 +259,13 @@ def test_real_only_variance():
 def _bin_statistics(n_streams=10**4, p=31, sigma=0.5):
     spec = SparseSpectrum(modes=(FourierMode((3, 1), 1.0),), bandwidth=8, dim=2)
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    clean = gather_samples(spec, umap, SamplePlan(p=p, axis=1), SILENT)
+    index = line_index(unwrap_freq(spec.freqs, umap), 1, p)
+    clean = gather_unwrapped(index, spec.coeffs, SamplePlan(p=p), SILENT)
     target = dft_forward(clean)[3 % p]
     noise = NoiseModel(sigma=sigma, seed=11)
     values = np.empty(n_streams, dtype=np.complex128)
-    plan_tpl = dict(p=p, axis=1)
     for stream in range(n_streams):
-        vals = gather_samples(
-            spec, umap, SamplePlan(stream=stream, **plan_tpl), noise
-        )
+        vals = gather_unwrapped(index, spec.coeffs, SamplePlan(p=p, stream=stream), noise)
         values[stream] = dft_forward(vals)[3 % p]
     return target, values
 
@@ -286,31 +290,23 @@ def test_residual_subtraction_under_noise():
     )
     spec = SparseSpectrum(modes=modes, bandwidth=8, dim=2)
     umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    residual = SparseSpectrum(
-        modes=spec.modes, bandwidth=umap.eff_bandwidth, dim=umap.reduced_dim
-    )
+    freqs = np.vstack([unwrap_freq(spec.freqs, umap), spec.freqs])
+    coeffs = np.concatenate([spec.coeffs, -spec.coeffs])
+    index = line_index(freqs, 1, p)
     noise = NoiseModel(sigma=sigma, seed=3)
     for stream in range(20):
-        vals = gather_samples(
-            spec, umap, SamplePlan(p=p, axis=1, stream=stream), noise, residual=residual
-        )
+        vals = gather_unwrapped(index, coeffs, SamplePlan(p=p, stream=stream), noise)
         assert np.max(np.abs(dft_forward(vals))) <= 5 * sigma * np.sqrt(p)
 
 
 def test_plan_validation():
     for _ in range(2):  # the remembered primality test still refuses
         with pytest.raises(ValueError):
-            SamplePlan(p=8, axis=1)  # not prime
-    with pytest.raises(ValueError):
-        SamplePlan(p=7, axis=1, shift_axis=2)  # shift size missing
-    with pytest.raises(ValueError):
-        SamplePlan(p=7, axis=1, shift_axis=2, shift_size=-0.1)
-    for size in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
-            SamplePlan(p=7, axis=1, shift_axis=2, shift_size=size)
+            SamplePlan(p=8)  # not prime
     with pytest.raises(ValueError, match="prime int"):
-        SamplePlan(p=7.0, axis=1)
-    assert SamplePlan(p=np.int64(7), axis=1).p == 7
+        SamplePlan(p=7.0)
+    assert SamplePlan(p=np.int64(7)).p == 7
+    assert [f.name for f in dataclasses.fields(SamplePlan)] == ["p", "stream"]
     with pytest.raises(ValueError):
         NoiseModel(sigma=-1.0)
     for sigma in (float("nan"), float("inf")):
@@ -319,12 +315,3 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         NoiseModel(sigma=1.0, kind="pink")
 
-
-def test_gather_dimension_mismatches():
-    spec = SparseSpectrum(modes=(FourierMode((0, 0), 1.0),), bandwidth=8, dim=2)
-    umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    with pytest.raises(ValueError):
-        gather_samples(spec, umap, SamplePlan(p=7, axis=3), SILENT)
-    wrong_res = SparseSpectrum(modes=(FourierMode((0,), 1.0),), bandwidth=9, dim=1)
-    with pytest.raises(ValueError):
-        gather_samples(spec, umap, SamplePlan(p=7, axis=1), SILENT, residual=wrong_res)

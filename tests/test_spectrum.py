@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from msfourier import (
     FourierMode,
@@ -10,31 +8,6 @@ from msfourier import (
     read_signal_file,
     write_signal_file,
 )
-from msfourier.spectrum import centered_mod
-
-
-def test_centered_mod_examples():
-    assert centered_mod(0, 20) == 0
-    assert centered_mod(41, 20) == 1  # 41 = 2*20 + 1
-    assert centered_mod(-210, 400) == 190  # -210 + 400 in [-200, 200)
-
-
-@given(st.integers(-(10**12), 10**12), st.integers(1, 10**6), st.integers(-50, 50))
-def test_centered_mod_shift_invariance(v, n, k):
-    assert centered_mod(v + k * n, n) == centered_mod(v, n)
-
-
-@given(st.integers(-(10**12), 10**12), st.integers(1, 10**6))
-def test_centered_mod_contract(v, n):
-    r = centered_mod(v, n)
-    half = (n + 1) // 2
-    assert -half <= r < n - half
-    assert (r - v) % n == 0
-
-
-def test_centered_mod_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        centered_mod(3, 0)
 
 
 def one_mode(freq, coeff, N, d):
@@ -130,12 +103,17 @@ def test_mode_invariants():
         ([(1, 2, 3)], [1.0], 8),  # row length 3, dim 2
         ([(1, 2), (3,)], [1.0, 1.0], 8),
         ([(2**70, 0)], [1.0], 2**72),  # in range but beyond int64
+        ([(1.5, 0)], [1.0], 8),  # not an integer: refused, not truncated
+        ([(float("nan"), 0)], [1.0], 8),
+        ([(float("inf"), 0)], [1.0], 8),
     ]:
         with pytest.raises(ValueError):
             SparseSpectrum.from_arrays(freqs, coeffs, bandwidth, 2)
         with pytest.raises(ValueError):
             modes = [FourierMode(w, a) for w, a in zip(freqs, coeffs)]
             SparseSpectrum(modes=modes, bandwidth=bandwidth, dim=2)
+    # an integral float is read as the integer
+    assert FourierMode((1.0, -2.0), 1).freq == (1, -2)
     # arrays are read by value: no truncation and no wrap-around to int64
     for freqs in ([[1.5, 0]], [[np.nan, 0]], np.array([[2**63, 0]], dtype=np.uint64)):
         with pytest.raises(ValueError):
