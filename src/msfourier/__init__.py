@@ -6,15 +6,16 @@ time and samples scaling like s * d * log N rather than N^d.
 
 The package namespace holds what a user of ``recover`` and ``compare``
 needs; the building blocks live in the submodules ``estimator``,
-``sampler``, ``unwrap``, ``dft`` and ``oracle``.
+``sampler``, ``unwrap`` and ``dft``.
 """
 
-from .oracle import ComparisonReport, compare
 from .recovery import RecoveryConfig, RecoveryResult, recover
 from .sampler import NoiseModel
 from .spectrum import (
+    ComparisonReport,
     FourierMode,
     SparseSpectrum,
+    compare,
     evaluate_spectrum,
     read_signal_file,
     write_signal_file,

@@ -17,10 +17,11 @@ from dataclasses import dataclass, replace
 import click
 import numpy as np
 
-from .oracle import ComparisonReport, compare
 from .recovery import RecoveryConfig, RecoveryResult, recover
 from .sampler import NoiseModel
-from .spectrum import SparseSpectrum, read_signal_file, write_signal_file
+from .spectrum import (
+    ComparisonReport, SparseSpectrum, compare, read_signal_file, write_signal_file,
+)
 from .estimator import make_schedule
 from .unwrap import effective_bandwidth
 
@@ -67,10 +68,9 @@ class RecoverOutcome:
 
 
 def cmd_recover(
-    signal_path, config: RecoveryConfig, noise_kind: str = "complex-circular", out=None
+    truth: SparseSpectrum, config: RecoveryConfig, noise_kind: str = "complex-circular", out=None
 ) -> RecoverOutcome:
-    """Run recovery against a signal file; optionally write the recovered modes."""
-    truth = read_signal_file(signal_path)
+    """Run recovery against a parsed signal; optionally write the recovered modes."""
     if len(truth) != config.s:
         config = replace(config, s=len(truth))
     noise = NoiseModel(sigma=config.sigma, seed=config.seed, kind=noise_kind)
@@ -231,16 +231,16 @@ def recover_command(signal, d1, out, sigma, seed, beta, c1, c_sigma, eta,
 
     l1_error exact_rate samples runtime_ms sample_ms
     """
-    truth_header = read_signal_file(signal)
+    truth = read_signal_file(signal)
     try:
         config = RecoveryConfig(
-            N=truth_header.bandwidth, d=truth_header.dim, d1=d1, s=len(truth_header),
+            N=truth.bandwidth, d=truth.dim, d1=d1, s=len(truth),
             sigma=sigma, c1=c1, c_sigma=c_sigma, eta=eta, beta=beta, seed=seed,
             max_outer_iterations=max_outer,
         )
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    outcome = cmd_recover(signal, config, noise_kind=noise_kind, out=out)
+    outcome = cmd_recover(truth, config, noise_kind=noise_kind, out=out)
     click.echo(outcome.summary_line())
     if not outcome.result.converged:
         click.echo("warning: recovery did not converge", err=True)

@@ -41,6 +41,10 @@ DEAD_BIN = 1e-300
 # Threshold floor so noiseless runs tolerate floating-point round-off.
 TAU_FLOOR = 1e-9
 
+# Longest sample vector a schedule may ask for: one complex128 vector of
+# 2^26 points takes 1 GiB. A prime, so p <= it exactly when the length is.
+MAX_SAMPLE_LENGTH = 2**26 - 5
+
 
 def frac_centered(x):
     """x reduced modulo 1 into [-1/2, 1/2)."""
@@ -80,7 +84,8 @@ def make_schedule(
     p is the first prime >= max{c1 s*, (beta(beta+1) a_min c_sigma sigma / pi)^2};
     the second operand keeps the per-level phase error below the admissible
     delta = min((1 - eps0 N')/2, 1/(2 beta + 2)), and M = floor(log_beta N') + 1
-    levels suffice to drive the reconstruction error under 1/2.
+    levels suffice to drive the reconstruction error under 1/2. A p above
+    ``MAX_SAMPLE_LENGTH`` raises ValueError before any prime is searched.
     """
     if s_star < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {s_star}")
@@ -88,11 +93,15 @@ def make_schedule(
         raise ValueError(f"beta must be finite and > 1, got {beta}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if a_min <= 0:
-        raise ValueError(f"minimum coefficient magnitude must be > 0, got {a_min}")
+    if not a_min > 0:
+        raise ValueError(f"a_min must be > 0, got {a_min}")
 
-    noise_floor = (beta * (beta + 1) * a_min * c_sigma * sigma / math.pi) ** 2
-    p = next_prime_at_least(max(c1 * s_star, noise_floor))
+    amplitude = beta * (beta + 1) * a_min * c_sigma * sigma / math.pi
+    # Past 2^32 the square is far above the cap, and ** 2 could overflow.
+    length = max(c1 * s_star, math.inf if amplitude > 2**32 else amplitude**2)
+    if length > MAX_SAMPLE_LENGTH:
+        raise ValueError(f"sample length {length:.6g} exceeds the cap of {MAX_SAMPLE_LENGTH}")
+    p = next_prime_at_least(length)
     tau = max(c_sigma * sigma / (a_min * math.sqrt(p)), TAU_FLOOR)
     eps0 = 1.0 / (2 * n_eff)
     delta = min((1.0 - eps0 * n_eff) / 2.0, 1.0 / (2 * beta + 2))

@@ -28,7 +28,7 @@ from .estimator import (
     reconstruct_entry,
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
-from .spectrum import SparseSpectrum
+from .spectrum import SparseSpectrum, _row_keys
 from .unwrap import UnwrapMap, _image_range, effective_bandwidth, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
@@ -57,18 +57,8 @@ class RecoveryConfig:
     max_outer_iterations: int | None = None  # None -> 10 * d'
 
     def __post_init__(self):
-        if self.N < 2 or self.N % 2 != 0:
-            raise ValueError(f"N must be even and >= 2, got {self.N}")
         if self.d < 1 or self.d % self.d1 != 0:
             raise ValueError(f"d1={self.d1} must divide d={self.d}")
-        if self.s < 1:
-            raise ValueError(f"sparsity must be >= 1, got {self.s}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not self.a_min > 0:
-            raise ValueError(f"a_min must be > 0, got {self.a_min}")
-        if not (math.isfinite(self.beta) and self.beta > 1):
-            raise ValueError(f"beta must be finite and > 1, got {self.beta}")
         if not (math.isfinite(self.c1) and self.c1 >= 1):
             raise ValueError(f"c1 must be finite and >= 1, got {self.c1}")
         if not (math.isfinite(self.c_sigma) and self.c_sigma > 0):
@@ -79,7 +69,7 @@ class RecoveryConfig:
             raise ValueError(
                 f"max_outer_iterations must be None or >= 1, got {self.max_outer_iterations}"
             )
-        try:
+        try:  # also refuses an odd N or N < 2
             width = effective_bandwidth(self.N, self.d1)
         except OverflowError as exc:
             raise ValueError(str(exc)) from exc
@@ -88,6 +78,8 @@ class RecoveryConfig:
                 f"effective bandwidth {width} for N={self.N}, d1={self.d1} exceeds 2^53; "
                 "frequencies past it cannot be recovered exactly, use a smaller d1"
             )
+        # Checks s, sigma, a_min and beta, and the largest p: p only falls with s*.
+        make_schedule(self.s, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta, width)
 
 
 @dataclass
@@ -123,17 +115,19 @@ def recover(
     if max_outer is None:
         max_outer = 10 * d_red
 
-    freqs_truth = unwrap_freq(truth.freqs, umap)
-
-    # unwrapped frequency -> coefficient, in the order the modes were found
-    found: dict[tuple[int, ...], complex] = {}
+    # The residual: the truth's unwrapped rows, then each found mode's row
+    # with its coefficient negated, in the order the modes were found.
+    n_truth = len(truth)
+    freqs_all = unwrap_freq(truth.freqs, umap)
+    coeffs_all = truth.coeffs
+    n_found = 0
     samples_used = 0
     sample_seconds = 0.0
     stream = 0
     i = 0
 
-    while len(found) < config.s and i < max_outer:
-        s_star = config.s - len(found)
+    while n_found < config.s and i < max_outer:
+        s_star = config.s - n_found
         sched = make_schedule(
             s_star, config.sigma, config.a_min, config.c1, config.c_sigma,
             config.beta, umap.eff_bandwidth,
@@ -142,12 +136,6 @@ def recover(
         k_tilde = (i % d_red) + 1
 
         t0 = time.perf_counter()
-        # Residual subtraction: found modes enter with negated coefficients.
-        keys = np.array(list(found), dtype=np.int64).reshape(len(found), d_red)
-        freqs_all = np.vstack([freqs_truth, keys])
-        coeffs_all = np.concatenate(
-            [truth.coeffs, -np.array(list(found.values()), dtype=np.complex128)]
-        )
         # Every vector of this iteration lies on the line along k~; the
         # (d', n) transpose keeps each shift axis's weights contiguous.
         index = line_index(freqs_all, k_tilde, p)
@@ -186,28 +174,31 @@ def recover(
         keep = accept_candidate(votes, M, config.eta)
         keep &= np.all((final >= lo) & (final <= hi), axis=0)
 
-        # (-|coeff|, unwrapped key, coeff) per candidate
-        accepted = []
-        for idx in np.flatnonzero(keep).tolist():
-            coeff = estimate_coefficient(complex(Fu[idx]), p)
-            accepted.append((-abs(coeff), tuple(final[:, idx].tolist()), coeff))
-
-        # Conflicting candidates: the larger-magnitude coefficient wins. Full
-        # ties keep bin order (complex coefficients are not orderable).
-        accepted.sort(key=lambda cand: cand[:2])
-        for _, key, coeff in accepted:
-            found.setdefault(key, coeff)
+        kept = np.flatnonzero(keep)
+        coeffs = np.array([estimate_coefficient(c, p) for c in Fu[kept].tolist()], complex)
+        # Conflicting candidates: the larger |coeff| wins, then the smaller key,
+        # then bin order (the sort is stable). hypot is Python's abs() of a
+        # complex; np.abs can differ in the last bit and reorder equal ones.
+        order = np.lexsort((*final[::-1, kept], -np.hypot(coeffs.real, coeffs.imag)))
+        cands, coeffs = final[:, kept[order]].T, coeffs[order]
+        # Each key's first row among the found rows followed by the sorted
+        # candidates wins: the candidate rows that win are the new modes.
+        rows = np.concatenate([freqs_all[n_truth:], cands])
+        _, first = np.unique(_row_keys(rows), return_index=True)
+        new = np.sort(first[first >= n_found]) - n_found
+        freqs_all = np.concatenate([freqs_all, cands[new]])
+        coeffs_all = np.concatenate([coeffs_all, -coeffs[new]])
+        n_found += len(new)
         i += 1
 
-    # Every key lies in [lo, hi], so every one rewraps.
-    keys = np.array(list(found), dtype=np.int64).reshape(len(found), d_red)
+    # Every found row lies in [lo, hi], so every one rewraps.
     return RecoveryResult(
         modes=SparseSpectrum.from_arrays(
-            rewrap_freq(keys, umap), list(found.values()), config.N, config.d
+            rewrap_freq(freqs_all[n_truth:], umap), -coeffs_all[n_truth:], config.N, config.d
         ),
         samples_used=samples_used,
         outer_iterations=i,
-        converged=len(found) == config.s,
+        converged=n_found == config.s,
         sample_seconds=sample_seconds,
     )
 

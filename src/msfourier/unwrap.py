@@ -7,8 +7,8 @@ aliases to the single integer w_1 + N w_2 + ... + N^{d1-1} w_{d1}. This
 turns a d-dimensional recovery problem with bandwidth N into a
 d' = d/d1 dimensional one with bandwidth ~N^{d1}.
 
-``unwrap_point`` takes one point; ``unwrap_freq`` and ``rewrap_freq`` take
-one frequency vector or an array of frequency rows.
+``unwrap_freq`` and ``rewrap_freq`` take one frequency vector or an array
+of frequency rows.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "UnwrapMap",
     "effective_bandwidth",
-    "unwrap_point",
     "unwrap_freq",
     "rewrap_freq",
 ]
@@ -65,14 +64,6 @@ class UnwrapMap:
     def powers(self) -> np.ndarray:
         """(1, N, N^2, ..., N^{d1-1}) as int64."""
         return self.bandwidth ** np.arange(self.block, dtype=np.int64)
-
-
-def unwrap_point(t, umap: UnwrapMap) -> np.ndarray:
-    """Map a reduced-domain point to the full domain (entries not reduced mod 1)."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape != (umap.reduced_dim,):
-        raise ValueError(f"point has shape {t.shape}, expected ({umap.reduced_dim},)")
-    return (t[:, None] * umap.powers()[None, :].astype(np.float64)).ravel()
 
 
 def unwrap_freq(w, umap: UnwrapMap) -> np.ndarray:

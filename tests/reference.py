@@ -1,16 +1,15 @@
-"""Brute-force references for tests: direct DFT, dense tiny-scale spectra,
-and mode-set comparison metrics."""
+"""Brute-force references the tests compare the package against: a direct
+O(p^2) DFT, a dense transform of a tiny spectrum and the point form of the
+block unwrapping."""
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import SparseSpectrum
-
-__all__ = ["ComparisonReport", "direct_dft", "dense_spectrum", "compare"]
+from msfourier.spectrum import SparseSpectrum
+from msfourier.unwrap import UnwrapMap
 
 _DENSE_CAP = 10**6
 
@@ -46,28 +45,9 @@ def dense_spectrum(truth: SparseSpectrum, N: int, d: int) -> np.ndarray:
     return np.fft.fftn(grid) / N**d
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    exact_freq_rate: float
-    l1_coeff_error: float
-    missed: int
-    spurious: int
-
-
-def compare(truth: SparseSpectrum, found: SparseSpectrum) -> ComparisonReport:
-    """Match by exact frequency equality; l1 error over the union support."""
-    if (truth.bandwidth, truth.dim) != (found.bandwidth, found.dim):
-        raise ValueError("spectra have different (N, d)")
-    t = dict(zip(map(tuple, truth.freqs.tolist()), truth.coeffs.tolist()))
-    f = dict(zip(map(tuple, found.freqs.tolist()), found.coeffs.tolist()))
-    matched = t.keys() & f.keys()
-    l1 = sum(abs(t[w] - f[w]) for w in matched)
-    l1 += sum(abs(a) for w, a in t.items() if w not in matched)
-    l1 += sum(abs(a) for w, a in f.items() if w not in matched)
-    rate = len(matched) / len(t) if t else 1.0
-    return ComparisonReport(
-        exact_freq_rate=rate,
-        l1_coeff_error=float(l1),
-        missed=len(t) - len(matched),
-        spurious=len(f) - len(matched),
-    )
+def unwrap_point(t, umap: UnwrapMap) -> np.ndarray:
+    """Map a reduced-domain point to the full domain (entries not reduced mod 1)."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (umap.reduced_dim,):
+        raise ValueError(f"point has shape {t.shape}, expected ({umap.reduced_dim},)")
+    return (t[:, None] * umap.powers()[None, :].astype(np.float64)).ravel()

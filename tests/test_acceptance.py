@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 from conftest import separable_instance
+from reference import dense_spectrum, direct_dft
 
 from msfourier import FourierMode, NoiseModel, RecoveryConfig, SparseSpectrum, compare, recover
 from msfourier.cli import SweepSpec, cmd_sweep, random_spectrum
@@ -17,7 +18,6 @@ from msfourier.estimator import (
     make_schedule,
     reconstruct_entry,
 )
-from msfourier.oracle import dense_spectrum, direct_dft
 from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
 from msfourier.unwrap import UnwrapMap, unwrap_freq
 

@@ -58,7 +58,7 @@ def test_recover_noiseless_single_mode(tmp_path):
     out = tmp_path / "rec.txt"
     cmd_generate(20, 4, 1, seed=9, out=sig)
     config = RecoveryConfig(N=20, d=4, d1=2, s=1)
-    outcome = cmd_recover(sig, config, out=out)
+    outcome = cmd_recover(read_signal_file(sig), config, out=out)
     assert outcome.result.converged
     assert outcome.report.exact_freq_rate == 1.0
     assert outcome.report.l1_coeff_error <= 1e-9
@@ -111,6 +111,14 @@ def test_cli_exit_codes(tmp_path):
     # a noise level that is not a finite number is refused up front
     proc = run_cli("recover", str(sig), "--d1", "1", "--sigma", "nan")
     assert proc.returncode == 1 and "sigma must be finite" in proc.stderr
+
+
+def test_recover_refuses_runaway_sample_length(tmp_path):
+    # beta=1000 at sigma=0.512 would need sample vectors of ~9.6e11 points
+    sig = tmp_path / "sig.txt"
+    cmd_generate(8, 2, 2, seed=1, out=sig)
+    proc = run_cli("recover", str(sig), "--d1", "1", "--sigma", "0.512", "--beta", "1000")
+    assert proc.returncode == 1 and "sample length" in proc.stderr
 
 
 def sweep_spec(tmp_path, name="sweep.csv"):

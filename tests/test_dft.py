@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from reference import direct_dft
 
 from msfourier.dft import dft_forward, next_prime_at_least, top_bins
-from msfourier.oracle import direct_dft
 
 
 def trial_division_next_prime(x):

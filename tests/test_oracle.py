@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from conftest import separable_instance
+from reference import dense_spectrum, direct_dft
 
 from msfourier import FourierMode, RecoveryConfig, SparseSpectrum, compare, recover
 from msfourier.dft import dft_forward
-from msfourier.oracle import dense_spectrum, direct_dft
 
 
 def test_direct_dft_dc():

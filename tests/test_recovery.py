@@ -13,7 +13,7 @@ from msfourier import (
 )
 from msfourier.cli import random_spectrum
 from msfourier.dft import dft_forward
-from msfourier.estimator import make_schedule
+from msfourier.estimator import MAX_SAMPLE_LENGTH, make_schedule
 from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
 from msfourier.unwrap import UnwrapMap, unwrap_freq
 
@@ -136,6 +136,40 @@ def test_pinned_noisy_recovery():
         assert abs(mode.coeff - coeff) <= 1e-12
 
 
+# A noiseless run's recorded result. Every coefficient has magnitude 1 up
+# to round-off, so the order in which conflicting candidates are accepted
+# rests on the last bits of |coeff| and on the key order of equal ones.
+PINNED_NOISELESS_MODES = [
+    ((-1, 1, -2, 0), 0.3662989319662818 + 0.9304972286043423j),
+    ((-2, 3, 3, -4), -0.153984380910769 + 0.9880732819156318j),
+    ((-1, 3, -1, -1), -0.13842780885620304 - 0.990372526747017j),
+    ((-4, -4, 1, -2), -0.6301476898936953 + 0.7764752983332048j),
+    ((0, -4, -3, -3), 0.22954174575026765 - 0.9732988168892015j),
+    ((0, -1, 2, -1), 0.8117769250070497 - 0.5839676566609651j),
+    ((1, 2, 1, 0), -0.647418248886139 - 0.7621349034188143j),
+    ((1, -4, 2, 3), 0.7065088675714214 - 0.7077041896463151j),
+    ((-2, -2, 3, -4), -0.9997046373546247 + 0.024303046139489467j),
+    ((-1, -3, 3, -2), -0.9968235109073149 + 0.07964225073674057j),
+    ((0, -3, 1, 3), -0.9049576846559181 + 0.42550157341918193j),
+    ((3, -1, -4, -4), -0.6057079267630393 - 0.7956870662870047j),
+    ((-4, -3, -2, 0), 0.9843910607116441 - 0.17599499876702246j),
+    ((2, 3, 3, 2), 0.3552354510013083 - 0.9347768580532452j),
+    ((-4, -3, 2, -3), 0.702758749970832 - 0.7114282390652158j),
+    ((-3, -1, -2, 3), 0.8932908735364655 - 0.44947904874027034j),
+]
+
+
+def test_pinned_noiseless_tie_order():
+    truth = random_spectrum(8, 4, 16, 100)
+    cfg = RecoveryConfig(N=8, d=4, d1=2, s=16, max_outer_iterations=40)
+    res = recover(cfg, truth, NoiseModel(0, 0))
+    assert res.converged
+    assert (res.samples_used, res.outer_iterations) == (689, 3)
+    assert res.modes.freqs.tolist() == [list(w) for w, _ in PINNED_NOISELESS_MODES]
+    for coeff, (_, pinned) in zip(res.modes.coeffs.tolist(), PINNED_NOISELESS_MODES):
+        assert abs(coeff - pinned) <= 1e-12
+
+
 def test_peeling_soundness():
     # after convergence, re-subtracting the found modes leaves no energy
     truth = separable_instance(8, 2, 4, seed=900)
@@ -233,6 +267,18 @@ def test_noise_and_schedule_inputs_refused(field, value, message):
     # refused when the config is built, before recover draws a sample
     with pytest.raises(ValueError, match=message):
         RecoveryConfig(N=20, d=10, d1=5, s=8, **{field: value})
+
+
+def test_runaway_sample_length_refused():
+    # beta=1e3 at sigma=0.512 asks for p ~ 9.6e11 points, beta=1e100 for a
+    # noise floor past float range, and c1 s* one point past the cap: each is
+    # refused when the config is built, before recover draws a sample
+    for beta in (1e3, 1e100):
+        with pytest.raises(ValueError, match="sample length"):
+            RecoveryConfig(N=20, d=10, d1=5, s=8, sigma=0.512, beta=beta)
+    with pytest.raises(ValueError, match="sample length"):
+        RecoveryConfig(N=20, d=10, d1=5, s=MAX_SAMPLE_LENGTH + 1, c1=1.0)
+    RecoveryConfig(N=20, d=10, d1=5, s=MAX_SAMPLE_LENGTH, c1=1.0)
 
 
 def test_gather_calls_match_sample_accounting(monkeypatch):

