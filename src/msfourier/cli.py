@@ -231,8 +231,8 @@ def recover_command(signal, d1, out, sigma, seed, beta, c1, c_sigma, eta,
 
     l1_error exact_rate samples runtime_ms sample_ms
     """
-    truth = read_signal_file(signal)
     try:
+        truth = read_signal_file(signal)
         config = RecoveryConfig(
             N=truth.bandwidth, d=truth.dim, d1=d1, s=len(truth),
             sigma=sigma, c1=c1, c_sigma=c_sigma, eta=eta, beta=beta, seed=seed,
@@ -275,9 +275,10 @@ def sweep_command(variable, values, N, d, d1, s, trials, out, sigma, seed, beta,
         )
         spec = SweepSpec(variable=variable, values=parsed, fixed=fixed,
                          trials=trials, out_path=out, noise_kind=noise_kind)
+        # each sweep value's config is built and checked inside cmd_sweep
+        _, converged = cmd_sweep(spec)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    _, converged = cmd_sweep(spec)
     click.echo(f"wrote {out}")
     if not converged:
         click.echo("warning: some trials did not converge", err=True)

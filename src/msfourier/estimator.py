@@ -45,6 +45,11 @@ TAU_FLOOR = 1e-9
 # 2^26 points takes 1 GiB. A prime, so p <= it exactly when the length is.
 MAX_SAMPLE_LENGTH = 2**26 - 5
 
+# Most shift levels a schedule may have. Every outer iteration gathers
+# (M+1) d' shifted vectors, and ``recovery.recover`` keeps (M+1) d' (n+s)
+# shift weights; any beta >= 1.04 stays below it at every N' <= 2^53.
+MAX_SHIFT_LEVELS = 1024
+
 
 def frac_centered(x):
     """x reduced modulo 1 into [-1/2, 1/2)."""
@@ -84,8 +89,10 @@ def make_schedule(
     p is the first prime >= max{c1 s*, (beta(beta+1) a_min c_sigma sigma / pi)^2};
     the second operand keeps the per-level phase error below the admissible
     delta = min((1 - eps0 N')/2, 1/(2 beta + 2)), and M = floor(log_beta N') + 1
-    levels suffice to drive the reconstruction error under 1/2. A p above
-    ``MAX_SAMPLE_LENGTH`` raises ValueError before any prime is searched.
+    levels suffice to drive the reconstruction error under 1/2. The ladder
+    depends only on N' and beta, so it is the same for every s* and sigma.
+    An M above ``MAX_SHIFT_LEVELS`` or a p above ``MAX_SAMPLE_LENGTH`` raises
+    ValueError before any array is built or any prime is searched.
     """
     if s_star < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {s_star}")
@@ -95,6 +102,12 @@ def make_schedule(
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if not a_min > 0:
         raise ValueError(f"a_min must be > 0, got {a_min}")
+    M = math.floor(math.log(n_eff, beta)) + 1
+    if M > MAX_SHIFT_LEVELS:
+        raise ValueError(
+            f"beta={beta} needs {M} shift levels at N'={n_eff}, above the cap of "
+            f"{MAX_SHIFT_LEVELS}; use a larger beta"
+        )
 
     amplitude = beta * (beta + 1) * a_min * c_sigma * sigma / math.pi
     # Past 2^32 the square is far above the cap, and ** 2 could overflow.
@@ -105,7 +118,6 @@ def make_schedule(
     tau = max(c_sigma * sigma / (a_min * math.sqrt(p)), TAU_FLOOR)
     eps0 = 1.0 / (2 * n_eff)
     delta = min((1.0 - eps0 * n_eff) / 2.0, 1.0 / (2 * beta + 2))
-    M = math.floor(math.log(n_eff, beta)) + 1
     shifts = eps0 * beta ** np.arange(M + 1, dtype=np.float64)
     return RecoverySchedule(p=p, tau=tau, M=M, eps0=eps0, beta=beta, delta=delta, shifts=shifts)
 

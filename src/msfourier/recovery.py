@@ -57,7 +57,7 @@ class RecoveryConfig:
     max_outer_iterations: int | None = None  # None -> 10 * d'
 
     def __post_init__(self):
-        if self.d < 1 or self.d % self.d1 != 0:
+        if self.d < 1 or self.d1 < 1 or self.d % self.d1 != 0:
             raise ValueError(f"d1={self.d1} must divide d={self.d}")
         if not (math.isfinite(self.c1) and self.c1 >= 1):
             raise ValueError(f"c1 must be finite and >= 1, got {self.c1}")
@@ -91,6 +91,17 @@ class RecoveryResult:
     sample_seconds: float = field(default=0.0, compare=False)
 
 
+def _weigh_rows(weights, start, freqs, coeffs, shifts) -> None:
+    """Fill ``weights[:, :, start:start+n]`` with the n rows' shift weights.
+
+    One level at a time, so temporaries stay one level in size; the
+    (d', n) transpose gives one row of weights per shift axis.
+    """
+    freqs_t = np.ascontiguousarray(freqs.T, dtype=np.float64)
+    for alpha, eps in enumerate(shifts.tolist()):
+        weights[alpha, :, start : start + len(coeffs)] = shift_weights(coeffs, freqs_t, eps)
+
+
 def recover(
     config: RecoveryConfig, truth: SparseSpectrum, noise: NoiseModel | None = None
 ) -> RecoveryResult:
@@ -115,31 +126,40 @@ def recover(
     if max_outer is None:
         max_outer = 10 * d_red
 
+    def schedule(s_star):
+        return make_schedule(
+            s_star, config.sigma, config.a_min, config.c1, config.c_sigma,
+            config.beta, umap.eff_bandwidth,
+        )
+
     # The residual: the truth's unwrapped rows, then each found mode's row
-    # with its coefficient negated, in the order the modes were found.
+    # with its coefficient negated, in the order the modes were found. The
+    # shift ladder is the same in every iteration, so each row's weights
+    # (level, shift axis, row) are computed once, when the row joins; the
+    # array has room for s found rows, (M+1) d' (n_truth+s) 16 bytes.
     n_truth = len(truth)
     freqs_all = unwrap_freq(truth.freqs, umap)
     coeffs_all = truth.coeffs
+    shifts = schedule(config.s).shifts
+    weights = np.empty((len(shifts), d_red, n_truth + config.s), dtype=np.complex128)
+    t0 = time.perf_counter()
+    _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
+    sample_seconds = time.perf_counter() - t0
     n_found = 0
     samples_used = 0
-    sample_seconds = 0.0
     stream = 0
     i = 0
 
     while n_found < config.s and i < max_outer:
         s_star = config.s - n_found
-        sched = make_schedule(
-            s_star, config.sigma, config.a_min, config.c1, config.c_sigma,
-            config.beta, umap.eff_bandwidth,
-        )
+        sched = schedule(s_star)
         p, M = sched.p, sched.M
+        n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1
 
         t0 = time.perf_counter()
-        # Every vector of this iteration lies on the line along k~; the
-        # (d', n) transpose keeps each shift axis's weights contiguous.
+        # Every vector of this iteration lies on the line along k~.
         index = line_index(freqs_all, k_tilde, p)
-        freqs_t = np.ascontiguousarray(freqs_all.T, dtype=np.float64)
         plan = SamplePlan(p=p, stream=stream)
         r0 = gather_unwrapped(index, coeffs_all, plan, noise)
         stream += 1
@@ -149,27 +169,27 @@ def recover(
         bins = top_bins(F0, s_star)
         Fu = F0[bins]
 
-        # Each shift level weights the modes for all d' shift axes at once,
-        # gathers its d' vectors one by one into a block and transforms the
-        # block with one FFT. An empty bin fails every collision test, so
-        # its M+1 votes (eta < 1) reject it; its phases read 0 and its
-        # entries are discarded.
+        # Each shift level gathers its d' vectors one by one into a block,
+        # from the residual rows' stored weights at that level and axis, and
+        # transforms the block with one FFT. An empty bin fails every
+        # collision test, so its M+1 votes (eta < 1) reject it; its phases
+        # read 0 and its entries are discarded.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
         block = np.empty((d_red, p), dtype=np.complex128)
-        for alpha, eps in enumerate(sched.shifts.tolist()):
+        for alpha in range(M + 1):
             t0 = time.perf_counter()
-            weights = shift_weights(coeffs_all, freqs_t, eps)
             for k in range(1, d_red + 1):
                 plan = SamplePlan(p=p, stream=stream)
-                block[k - 1] = gather_unwrapped(index, weights[k - 1], plan, noise)
+                row_weights = weights[alpha, k - 1, :n_rows]
+                block[k - 1] = gather_unwrapped(index, row_weights, plan, noise)
                 stream += 1
                 samples_used += p
             sample_seconds += time.perf_counter() - t0
             shifted = dft_forward(block)[:, bins]
             votes += ~np.all(collision_test(Fu, shifted, sched.tau), axis=0)
             phases[alpha] = bin_phase(shifted, Fu)
-        final = finalize_entry(reconstruct_entry(sched.shifts, phases))
+        final = finalize_entry(reconstruct_entry(shifts, phases))
         # An entry outside [lo, hi] is not an unwrapped frequency: junk.
         keep = accept_candidate(votes, M, config.eta)
         keep &= np.all((final >= lo) & (final <= hi), axis=0)
@@ -186,8 +206,12 @@ def recover(
         rows = np.concatenate([freqs_all[n_truth:], cands])
         _, first = np.unique(_row_keys(rows), return_index=True)
         new = np.sort(first[first >= n_found]) - n_found
-        freqs_all = np.concatenate([freqs_all, cands[new]])
-        coeffs_all = np.concatenate([coeffs_all, -coeffs[new]])
+        new_freqs, new_coeffs = cands[new], -coeffs[new]
+        t0 = time.perf_counter()
+        _weigh_rows(weights, n_rows, new_freqs, new_coeffs, shifts)
+        sample_seconds += time.perf_counter() - t0
+        freqs_all = np.concatenate([freqs_all, new_freqs])
+        coeffs_all = np.concatenate([coeffs_all, new_coeffs])
         n_found += len(new)
         i += 1
 

@@ -16,10 +16,13 @@ length p.
 
 The residues depend only on the line (axis k~ and p) and the shift phases
 only on the shift (axis k and eps), so they are built apart from the
-vectors: ``line_index`` once per line and ``shift_weights`` once per shift
-size, for all d' shift axes at once. ``gather_unwrapped`` then costs one
-``bincount`` over the interleaved real and imaginary parts of the weights,
-one inverse FFT and one noise draw per vector.
+vectors: ``line_index`` once per line, and ``shift_weights`` once per mode
+and shift size, for all d' shift axes at once. The shift ladder is the same
+in every outer iteration, so ``recovery.recover`` weighs each residual row
+once per level when the row joins and keeps the weights, (M+1) d' (n + s)
+complex128 values. ``gather_unwrapped`` then costs one ``bincount`` over the
+interleaved real and imaginary parts of the weights, one inverse FFT and one
+noise draw per vector.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64), so one run is exactly

@@ -121,6 +121,22 @@ def test_recover_refuses_runaway_sample_length(tmp_path):
     assert proc.returncode == 1 and "sample length" in proc.stderr
 
 
+def test_cli_input_errors_are_one_line(tmp_path):
+    # a malformed signal file and a sweep value the schedule refuses each
+    # give a one-line error and exit code 1, not a traceback
+    short = tmp_path / "short.txt"
+    short.write_text("8 2 1\n1.0 0.0 1\n")
+    proc = run_cli("recover", str(short), "--d1", "1")
+    assert proc.returncode == 1
+    assert "expected 4 fields" in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_cli(
+        "sweep", "--variable", "sigma", "--values", "10000", "--n", "8", "--d", "2",
+        "--sparsity", "2", "--trials", "1", "--out", str(tmp_path / "x.csv"),
+    )
+    assert proc.returncode == 1
+    assert "sample length" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def sweep_spec(tmp_path, name="sweep.csv"):
     fixed = RecoveryConfig(N=8, d=2, d1=1, s=2, seed=5)
     return SweepSpec(

@@ -6,6 +6,7 @@ import pytest
 from msfourier import FourierMode, NoiseModel, SparseSpectrum
 from msfourier.dft import dft_forward
 from msfourier.estimator import (
+    MAX_SHIFT_LEVELS,
     accept_candidate,
     bin_phase,
     collision_test,
@@ -55,6 +56,30 @@ class TestSchedule:
                 make_schedule(4, 0.1, 1.0, 2.0, 6.0, beta, 99)
         with pytest.raises(ValueError, match="sigma"):
             make_schedule(4, float("nan"), 1.0, 2.0, 6.0, 2.5, 99)
+
+    def test_ladder_depends_only_on_bandwidth_and_beta(self):
+        # recover computes each residual row's shift weights once per run,
+        # so every outer iteration's schedule must carry the same ladder
+        base = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5, 3368421)
+        for s_star in (1, 7, 255, 1024):
+            for sigma in (0.0, 0.001, 0.512, 2.0):
+                sched = make_schedule(s_star, sigma, 1.0, 2.0, 6.0, 2.5, 3368421)
+                assert sched.M == base.M
+                assert sched.shifts.tobytes() == base.shifts.tobytes()
+
+    def test_overlong_ladder_refused(self):
+        # beta near 1 asks for M = floor(log_beta N') + 1 levels: 15,038 at
+        # beta=1.001 and ~1.5e10 (a 120 GB ladder) at 1 + 1e-9; both are
+        # refused before any array is built
+        for beta in (1.001, 1 + 1e-9):
+            with pytest.raises(ValueError, match="shift levels"):
+                make_schedule(8, 0.0, 1.0, 2.0, 6.0, beta, 3368421)
+        n_eff = 3368421
+        at_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS - 0.5))  # log_beta N' = cap - 1/2
+        assert make_schedule(8, 0.0, 1.0, 2.0, 6.0, at_cap, n_eff).M == MAX_SHIFT_LEVELS
+        past_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS + 0.5))
+        with pytest.raises(ValueError, match="shift levels"):
+            make_schedule(8, 0.0, 1.0, 2.0, 6.0, past_cap, n_eff)
 
 
 class TestCollisionTest:

@@ -240,6 +240,9 @@ def test_geometry_validation():
         RecoveryConfig(N=7, d=2, d1=1, s=1)
     with pytest.raises(ValueError):
         RecoveryConfig(N=8, d=2, d1=1, s=1, eta=1.5)
+    for d1 in (0, -1):  # refused before d % d1 is taken
+        with pytest.raises(ValueError, match="d1"):
+            RecoveryConfig(N=8, d=2, d1=d1, s=1)
 
 
 @pytest.mark.parametrize(
@@ -255,6 +258,8 @@ def test_geometry_validation():
         ("beta", 0.5, "beta"),
         ("beta", float("nan"), "beta"),
         ("beta", float("inf"), "beta"),
+        ("beta", 1.001, "shift levels"),
+        ("beta", 1 + 1e-9, "shift levels"),
         ("c1", float("nan"), "c1"),
         ("c1", float("inf"), "c1"),
         ("c_sigma", float("nan"), "c_sigma"),
@@ -303,6 +308,28 @@ def test_gather_calls_match_sample_accounting(monkeypatch):
     )
     per_iteration = (sched.M + 1) * umap.reduced_dim + 1
     assert len(lengths) == res.outer_iterations * per_iteration
+
+
+def test_shift_weights_once_per_row_and_level(monkeypatch):
+    # the shift ladder is the same in every outer iteration, so each residual
+    # row (truth rows and found rows) is weighed once per level per recovery
+    truth = random_spectrum(20, 10, 16, 3)
+    cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, seed=7)
+    rows = []
+
+    def counted(coeffs, freqs_t, eps, _fn=recovery.shift_weights):
+        assert freqs_t.shape[-1] == len(coeffs)
+        rows.append(len(coeffs))
+        return _fn(coeffs, freqs_t, eps)
+
+    monkeypatch.setattr(recovery, "shift_weights", counted)
+    res = recover(cfg, truth)
+    assert res.converged and res.outer_iterations > 1
+    umap = UnwrapMap(bandwidth=20, dim=10, block=5)
+    sched = make_schedule(
+        cfg.s, cfg.sigma, cfg.a_min, cfg.c1, cfg.c_sigma, cfg.beta, umap.eff_bandwidth
+    )
+    assert sum(rows) == (sched.M + 1) * (len(truth) + len(res.modes))
 
 
 def test_bandwidth_limit_for_exact_recovery():
