@@ -20,10 +20,8 @@ import numpy as np
 from .recovery import RecoveryConfig, RecoveryResult, recover
 from .sampler import NoiseModel
 from .spectrum import (
-    ComparisonReport, SparseSpectrum, compare, read_signal_file, write_signal_file,
+    ComparisonReport, SparseSpectrum, _row_keys, compare, read_signal_file, write_signal_file,
 )
-from .estimator import make_schedule
-from .unwrap import effective_bandwidth
 
 __all__ = ["SweepSpec", "cmd_generate", "cmd_recover", "cmd_sweep", "cli", "main"]
 
@@ -39,11 +37,15 @@ def random_spectrum(N: int, d: int, s: int, seed: int) -> SparseSpectrum:
         raise ValueError(f"cannot place {s} distinct modes in a {N}^{d} cube")
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     coeffs = np.exp(2j * np.pi * rng.random(s))
-    # One row per draw, in draw order; a repeated row is skipped.
-    freqs: dict[tuple[int, ...], None] = {}
+    # Rows in draw order with repeats skipped. Each draw adds at most one
+    # row, so drawing the missing rows as one block consumes the same draws
+    # as drawing one row at a time until s rows are distinct.
+    freqs = np.empty((0, d), dtype=np.int64)
     while len(freqs) < s:
-        freqs.setdefault(tuple(rng.integers(-N // 2, N // 2, size=d).tolist()))
-    return SparseSpectrum.from_arrays(list(freqs), coeffs, N, d)
+        rows = np.concatenate([freqs, rng.integers(-N // 2, N // 2, size=(s - len(freqs), d))])
+        _, first = np.unique(_row_keys(rows), return_index=True)
+        freqs = rows[np.sort(first)]
+    return SparseSpectrum.from_arrays(freqs, coeffs, N, d)
 
 
 def cmd_generate(N: int, d: int, s: int, seed: int, out) -> SparseSpectrum:
@@ -131,30 +133,23 @@ def cmd_sweep(spec: SweepSpec) -> tuple[list[dict], bool]:
             cfg = replace(spec.fixed, sigma=float(value))
         else:
             cfg = replace(spec.fixed, s=int(value))
-        sched = make_schedule(
-            cfg.s, cfg.sigma, cfg.a_min, cfg.c1, cfg.c_sigma, cfg.beta,
-            effective_bandwidth(cfg.N, cfg.d1),
-        )
+        sched = cfg.schedule(cfg.s)
         trial_rows = []
         for trial in range(spec.trials):
             signal_seed, noise_seed = _trial_seeds(cfg.seed, vi, trial)
             truth = random_spectrum(cfg.N, cfg.d, cfg.s, signal_seed)
-            noise = NoiseModel(sigma=cfg.sigma, seed=noise_seed, kind=spec.noise_kind)
-            t0 = time.perf_counter()
-            result = recover(cfg, truth, noise)
-            elapsed = time.perf_counter() - t0
-            all_converged &= result.converged
-            report = compare(truth, result.modes)
+            outcome = cmd_recover(truth, replace(cfg, seed=noise_seed), spec.noise_kind)
+            all_converged &= outcome.result.converged
             trial_rows.append({
                 "variable": spec.variable,
                 "value": value,
                 "trial": trial,
                 "seed": signal_seed,
-                "l1_error": report.l1_coeff_error,
-                "exact_rate": report.exact_freq_rate,
-                "samples": result.samples_used,
-                "runtime_ms": (elapsed - result.sample_seconds) * 1e3,
-                "sample_ms": result.sample_seconds * 1e3,
+                "l1_error": outcome.report.l1_coeff_error,
+                "exact_rate": outcome.report.exact_freq_rate,
+                "samples": outcome.result.samples_used,
+                "runtime_ms": outcome.runtime_ms,
+                "sample_ms": outcome.sample_ms,
                 "p": sched.p,
                 "M": sched.M,
             })
@@ -177,6 +172,7 @@ def cmd_sweep(spec: SweepSpec) -> tuple[list[dict], bool]:
 
 
 def _config_options(fn):
+    # Each option but --noise-kind passes through as the RecoveryConfig field it names.
     opts = [
         click.option("--sigma", type=float, default=0.0, show_default=True,
                      help="noise standard deviation"),
@@ -191,7 +187,7 @@ def _config_options(fn):
                      help="tolerated fraction of failed collision tests"),
         click.option("--noise-kind", type=click.Choice(["complex-circular", "real-only"]),
                      default="complex-circular", show_default=True),
-        click.option("--max-outer", type=int, default=None,
+        click.option("--max-outer", "max_outer_iterations", type=int, default=None,
                      help="outer iteration cap (default 10*d')"),
     ]
     for opt in reversed(opts):
@@ -225,19 +221,14 @@ def generate_command(N, d, s, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write recovered modes here")
 @_config_options
-def recover_command(signal, d1, out, sigma, seed, beta, c1, c_sigma, eta,
-                    noise_kind, max_outer):
+def recover_command(signal, d1, out, noise_kind, **options):
     """Recover a signal file's modes; prints
 
     l1_error exact_rate samples runtime_ms sample_ms
     """
     try:
         truth = read_signal_file(signal)
-        config = RecoveryConfig(
-            N=truth.bandwidth, d=truth.dim, d1=d1, s=len(truth),
-            sigma=sigma, c1=c1, c_sigma=c_sigma, eta=eta, beta=beta, seed=seed,
-            max_outer_iterations=max_outer,
-        )
+        config = RecoveryConfig(N=truth.bandwidth, d=truth.dim, d1=d1, s=len(truth), **options)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     outcome = cmd_recover(truth, config, noise_kind=noise_kind, out=out)
@@ -259,8 +250,7 @@ def recover_command(signal, d1, out, sigma, seed, beta, c1, c_sigma, eta,
 @click.option("--trials", type=int, default=10, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_config_options
-def sweep_command(variable, values, N, d, d1, s, trials, out, sigma, seed, beta,
-                  c1, c_sigma, eta, noise_kind, max_outer):
+def sweep_command(variable, values, N, d, d1, s, trials, out, noise_kind, **options):
     """Sweep sigma or sparsity and write per-trial + mean rows to a CSV."""
     try:
         parsed = [float(v) if variable == "sigma" else int(v) for v in values.split(",")]
@@ -269,10 +259,7 @@ def sweep_command(variable, values, N, d, d1, s, trials, out, sigma, seed, beta,
     if variable == "sigma" and s is None:
         raise click.UsageError("--sparsity is required for sigma sweeps")
     try:
-        fixed = RecoveryConfig(
-            N=N, d=d, d1=d1, s=s or 1, sigma=sigma, c1=c1, c_sigma=c_sigma, eta=eta,
-            beta=beta, seed=seed, max_outer_iterations=max_outer,
-        )
+        fixed = RecoveryConfig(N=N, d=d, d1=d1, s=s or 1, **options)
         spec = SweepSpec(variable=variable, values=parsed, fixed=fixed,
                          trials=trials, out_path=out, noise_kind=noise_kind)
         # each sweep value's config is built and checked inside cmd_sweep

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dft import dft_forward, top_bins
 from .estimator import (
+    RecoverySchedule,
     accept_candidate,
     bin_phase,
     collision_test,
@@ -29,7 +30,7 @@ from .estimator import (
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
 from .spectrum import SparseSpectrum, _row_keys
-from .unwrap import UnwrapMap, _image_range, effective_bandwidth, rewrap_freq, unwrap_freq
+from .unwrap import UnwrapMap, _image_range, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
 
@@ -41,7 +42,8 @@ _MAX_EXACT_BANDWIDTH = 2**53
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Run parameters; defaults follow the standard benchmark setup."""
+    """Run parameters; defaults follow the standard benchmark setup. The
+    config builds the run's unwrap geometry ``umap`` and owns its schedules."""
 
     N: int
     d: int
@@ -55,10 +57,15 @@ class RecoveryConfig:
     beta: float = 2.5
     seed: int = 0
     max_outer_iterations: int | None = None  # None -> 10 * d'
+    umap: UnwrapMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 1 or self.d1 < 1 or self.d % self.d1 != 0:
-            raise ValueError(f"d1={self.d1} must divide d={self.d}")
+        for name in ("N", "d", "d1", "s", "seed", "max_outer_iterations"):
+            value = getattr(self, name)
+            if value is None and name == "max_outer_iterations":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.c1) and self.c1 >= 1):
             raise ValueError(f"c1 must be finite and >= 1, got {self.c1}")
         if not (math.isfinite(self.c_sigma) and self.c_sigma > 0):
@@ -69,17 +76,25 @@ class RecoveryConfig:
             raise ValueError(
                 f"max_outer_iterations must be None or >= 1, got {self.max_outer_iterations}"
             )
-        try:  # also refuses an odd N or N < 2
-            width = effective_bandwidth(self.N, self.d1)
+        try:  # also refuses an odd N or N < 2, d or d1 below 1 and a d1 not dividing d
+            umap = UnwrapMap(bandwidth=self.N, dim=self.d, block=self.d1)
         except OverflowError as exc:
             raise ValueError(str(exc)) from exc
-        if width > _MAX_EXACT_BANDWIDTH:
+        if umap.eff_bandwidth > _MAX_EXACT_BANDWIDTH:
             raise ValueError(
-                f"effective bandwidth {width} for N={self.N}, d1={self.d1} exceeds 2^53; "
-                "frequencies past it cannot be recovered exactly, use a smaller d1"
+                f"effective bandwidth {umap.eff_bandwidth} for N={self.N}, d1={self.d1} "
+                "exceeds 2^53; frequencies past it cannot be recovered exactly, use a smaller d1"
             )
+        object.__setattr__(self, "umap", umap)
         # Checks s, sigma, a_min and beta, and the largest p: p only falls with s*.
-        make_schedule(self.s, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta, width)
+        self.schedule(self.s)
+
+    def schedule(self, s_star: int) -> RecoverySchedule:
+        """The schedule of an outer iteration with sparsity budget ``s_star``."""
+        return make_schedule(
+            s_star, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta,
+            self.umap.eff_bandwidth,
+        )
 
 
 @dataclass
@@ -119,18 +134,12 @@ def recover(
     if noise is None:
         noise = NoiseModel(sigma=config.sigma, seed=config.seed)
 
-    umap = UnwrapMap(bandwidth=config.N, dim=config.d, block=config.d1)
+    umap = config.umap
     d_red = umap.reduced_dim
     lo, hi = _image_range(umap)
     max_outer = config.max_outer_iterations
     if max_outer is None:
         max_outer = 10 * d_red
-
-    def schedule(s_star):
-        return make_schedule(
-            s_star, config.sigma, config.a_min, config.c1, config.c_sigma,
-            config.beta, umap.eff_bandwidth,
-        )
 
     # The residual: the truth's unwrapped rows, then each found mode's row
     # with its coefficient negated, in the order the modes were found. The
@@ -140,7 +149,7 @@ def recover(
     n_truth = len(truth)
     freqs_all = unwrap_freq(truth.freqs, umap)
     coeffs_all = truth.coeffs
-    shifts = schedule(config.s).shifts
+    shifts = config.schedule(config.s).shifts
     weights = np.empty((len(shifts), d_red, n_truth + config.s), dtype=np.complex128)
     t0 = time.perf_counter()
     _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
@@ -152,7 +161,7 @@ def recover(
 
     while n_found < config.s and i < max_outer:
         s_star = config.s - n_found
-        sched = schedule(s_star)
+        sched = config.schedule(s_star)
         p, M = sched.p, sched.M
         n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1

@@ -37,6 +37,7 @@ def effective_bandwidth(N: int, d1: int) -> int:
         raise ValueError(f"N must be even and >= 2, got {N}")
     if d1 < 1:
         raise ValueError(f"d1 must be >= 1, got {d1}")
+    N, d1 = int(N), int(d1)  # numpy integers would wrap past int64 unseen
     width = 2 * (N // 2) * (N**d1 - 1) // (N - 1) + 1
     if width > _INT64_MAX:
         raise OverflowError(f"effective bandwidth for N={N}, d1={d1} exceeds int64")
@@ -54,8 +55,10 @@ class UnwrapMap:
     eff_bandwidth: int = field(init=False)
 
     def __post_init__(self):
-        if self.dim % self.block != 0:
-            raise ValueError(f"block {self.block} does not divide dim {self.dim}")
+        if self.dim < 1 or self.block < 1 or self.dim % self.block != 0:
+            raise ValueError(
+                f"d must be a multiple of d1 with d, d1 >= 1, got d={self.dim}, d1={self.block}"
+            )
         object.__setattr__(self, "reduced_dim", self.dim // self.block)
         object.__setattr__(
             self, "eff_bandwidth", effective_bandwidth(self.bandwidth, self.block)

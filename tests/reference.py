@@ -1,6 +1,6 @@
 """Brute-force references the tests compare the package against: a direct
-O(p^2) DFT, a dense transform of a tiny spectrum and the point form of the
-block unwrapping."""
+O(p^2) DFT, a dense transform of a tiny spectrum, the point form of the
+block unwrapping and a one-row-per-draw random spectrum."""
 
 from __future__ import annotations
 
@@ -51,3 +51,13 @@ def unwrap_point(t, umap: UnwrapMap) -> np.ndarray:
     if t.shape != (umap.reduced_dim,):
         raise ValueError(f"point has shape {t.shape}, expected ({umap.reduced_dim},)")
     return (t[:, None] * umap.powers()[None, :].astype(np.float64)).ravel()
+
+
+def random_spectrum_per_row(N: int, d: int, s: int, seed: int) -> SparseSpectrum:
+    """``cli.random_spectrum`` drawing one frequency row at a time."""
+    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    coeffs = np.exp(2j * np.pi * rng.random(s))
+    freqs: dict[tuple[int, ...], None] = {}
+    while len(freqs) < s:
+        freqs.setdefault(tuple(rng.integers(-N // 2, N // 2, size=d).tolist()))
+    return SparseSpectrum.from_arrays(list(freqs), coeffs, N, d)

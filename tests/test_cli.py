@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import random_spectrum_per_row
 
 import msfourier
 from msfourier import RecoveryConfig, read_signal_file
-from msfourier.cli import SweepSpec, cmd_generate, cmd_recover, cmd_sweep
+from msfourier.cli import (
+    SweepSpec, _trial_seeds, cmd_generate, cmd_recover, cmd_sweep, random_spectrum,
+)
 
 STUCK_PAIR = "8 2 2\n1.0 0.0 1 -4\n1.0 0.0 1 1\n"
 
@@ -51,6 +54,15 @@ def test_generate_unit_circle_and_distinct(tmp_path):
 def test_generate_overfull_cube(tmp_path):
     with pytest.raises(ValueError):
         cmd_generate(2, 2, 5, seed=0, out=tmp_path / "x.txt")
+
+
+@pytest.mark.parametrize("N,d", [(2, 1), (2, 5), (4, 3), (8, 2), (20, 1), (20, 7)])
+@pytest.mark.parametrize("seed", [-5, 0, 2**64 - 1, 2**70])
+def test_random_spectrum_matches_per_row_draws(N, d, seed):
+    # block draws keep the one-row-at-a-time draw order, repeats included:
+    # full cubes and near-full ones repeat rows often
+    for s in sorted({0, 1, N**d // 2, N**d - 1, N**d} & set(range(200))):
+        assert random_spectrum(N, d, s, seed) == random_spectrum_per_row(N, d, s, seed)
 
 
 def test_recover_noiseless_single_mode(tmp_path):
@@ -214,6 +226,41 @@ def test_sweep_noiseless_errors_vanish(tmp_path):
     rows, converged = cmd_sweep(spec)
     assert converged
     assert all(r["l1_error"] <= 1e-9 for r in rows)
+
+
+def test_sweep_trial_is_cmd_recover(tmp_path):
+    # a sweep trial's row is cmd_recover's outcome on the same signal and
+    # noise seed, with p and M from the first outer iteration's schedule
+    spec = sweep_spec(tmp_path)
+    rows, _ = cmd_sweep(spec)
+    for vi, value in enumerate(spec.values):
+        sched = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value).schedule(2)
+        for trial in range(spec.trials):
+            signal_seed, noise_seed = _trial_seeds(5, vi, trial)
+            truth = random_spectrum(8, 2, 2, signal_seed)
+            cfg = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value, seed=noise_seed)
+            outcome = cmd_recover(truth, cfg)
+            row = next(r for r in rows if r["value"] == value and r["trial"] == trial)
+            assert row["seed"] == signal_seed
+            assert row["l1_error"] == outcome.report.l1_coeff_error
+            assert row["exact_rate"] == outcome.report.exact_freq_rate
+            assert row["samples"] == outcome.result.samples_used
+            assert (row["p"], row["M"]) == (sched.p, sched.M)
+
+
+def test_cli_sets_every_shared_option(tmp_path):
+    # each shared option reaches RecoveryConfig under its field name; a
+    # renamed parameter would fail only when the command runs
+    shared = ["--sigma", "0.001", "--seed", "3", "--beta", "3.0", "--c1", "3.0",
+              "--c-sigma", "5.0", "--eta", "0.3", "--max-outer", "40",
+              "--noise-kind", "real-only"]
+    sig = tmp_path / "sig.txt"
+    cmd_generate(8, 2, 2, seed=1, out=sig)
+    proc = run_cli("recover", str(sig), "--d1", "1", *shared)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("sweep", "--variable", "sparsity", "--values", "1,2", "--n", "8",
+                   "--d", "2", "--trials", "2", "--out", str(tmp_path / "s.csv"), *shared)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_cli_and_validation(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import separable_instance
@@ -243,6 +245,10 @@ def test_geometry_validation():
     for d1 in (0, -1):  # refused before d % d1 is taken
         with pytest.raises(ValueError, match="d1"):
             RecoveryConfig(N=8, d=2, d1=d1, s=1)
+    # a float is refused up front, not left to fail inside recover
+    for name, value in [("N", 20.0), ("d", 4.0), ("d1", 2.0), ("s", 2.0), ("s", 1.5)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            RecoveryConfig(**{"N": 20, "d": 4, "d1": 2, "s": 2, name: value})
 
 
 @pytest.mark.parametrize(
@@ -266,12 +272,41 @@ def test_geometry_validation():
         ("c_sigma", float("inf"), "c_sigma"),
         ("c_sigma", -1.0, "c_sigma"),
         ("c_sigma", 0.0, "c_sigma"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("max_outer_iterations", 2.5, "max_outer_iterations must be an integer"),
+        ("max_outer_iterations", True, "max_outer_iterations must be an integer"),
     ],
 )
 def test_noise_and_schedule_inputs_refused(field, value, message):
     # refused when the config is built, before recover draws a sample
     with pytest.raises(ValueError, match=message):
         RecoveryConfig(N=20, d=10, d1=5, s=8, **{field: value})
+
+
+def test_config_owns_geometry_and_schedule():
+    # replace() rebuilds the unwrap geometry and the schedules; the geometry
+    # takes no part in equality or hashing, and numpy integers are accepted
+    cfg = RecoveryConfig(N=20, d=10, d1=1, s=8, sigma=0.1)
+    wider = replace(cfg, d1=5)
+    assert wider.umap == UnwrapMap(bandwidth=20, dim=10, block=5)
+    assert wider.schedule(8).M == make_schedule(8, 0.1, 1.0, 2.0, 6.0, 2.5, 3368421).M
+    assert wider.schedule(8).M != cfg.schedule(8).M
+    direct = RecoveryConfig(N=np.int64(20), d=10, d1=np.int64(5), s=8, sigma=0.1)
+    assert direct == wider and hash(direct) == hash(wider)
+    assert direct.umap == wider.umap and direct.umap is not wider.umap
+    assert direct != cfg
+
+
+@pytest.mark.parametrize("s_star", [1, 2, 7, 16, 300])
+def test_config_schedule_is_make_schedule(s_star):
+    cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, c1=3.0, c_sigma=5.0, beta=2.0)
+    got = cfg.schedule(s_star)
+    want = make_schedule(
+        s_star, cfg.sigma, cfg.a_min, cfg.c1, cfg.c_sigma, cfg.beta, cfg.umap.eff_bandwidth
+    )
+    for name in ("p", "tau", "M", "eps0", "beta", "delta"):
+        assert getattr(got, name) == getattr(want, name)
+    assert np.array_equal(got.shifts, want.shifts)
 
 
 def test_runaway_sample_length_refused():

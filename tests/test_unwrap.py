@@ -157,3 +157,16 @@ def test_exponent_identity():
 def test_block_must_divide_dim():
     with pytest.raises(ValueError):
         make_map(20, 5, 2)
+
+
+@pytest.mark.parametrize("d,d1", [(2, 0), (2, -1), (0, 1), (-2, 1), (-2, -1)])
+def test_nonpositive_dim_or_block_refused(d, d1):
+    with pytest.raises(ValueError, match="d1"):
+        make_map(8, d, d1)
+
+
+def test_effective_bandwidth_of_numpy_integers():
+    # numpy int64 arithmetic would wrap past 2^63 without an error
+    assert effective_bandwidth(np.int64(20), np.int64(14)) == effective_bandwidth(20, 14)
+    with pytest.raises(OverflowError):
+        effective_bandwidth(np.int64(20), 15)
