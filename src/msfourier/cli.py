@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import click
 import numpy as np
 
 from .recovery import RecoveryConfig, RecoveryResult, recover
-from .sampler import NoiseModel
+from .sampler import NOISE_KINDS, NoiseModel
 from .spectrum import (
     ComparisonReport, SparseSpectrum, _row_keys, compare, read_signal_file, write_signal_file,
 )
@@ -70,7 +70,7 @@ class RecoverOutcome:
 
 
 def cmd_recover(
-    truth: SparseSpectrum, config: RecoveryConfig, noise_kind: str = "complex-circular", out=None
+    truth: SparseSpectrum, config: RecoveryConfig, noise_kind: str = NOISE_KINDS[0], out=None
 ) -> RecoverOutcome:
     """Run recovery against a parsed signal; optionally write the recovered modes."""
     if len(truth) != config.s:
@@ -99,7 +99,7 @@ class SweepSpec:
     fixed: RecoveryConfig
     trials: int
     out_path: str
-    noise_kind: str = "complex-circular"
+    noise_kind: str = NOISE_KINDS[0]
 
     def __post_init__(self):
         if self.variable not in ("sigma", "sparsity"):
@@ -126,13 +126,12 @@ def cmd_sweep(spec: SweepSpec) -> tuple[list[dict], bool]:
     are wall-clock and not reproducible. p and M report the schedule of
     the first outer iteration.
     """
+    # Every value's config is built, and so checked, before any trial runs.
+    name = "sigma" if spec.variable == "sigma" else "s"
+    configs = [replace(spec.fixed, **{name: value}) for value in spec.values]
     rows: list[dict] = []
     all_converged = True
-    for vi, value in enumerate(spec.values):
-        if spec.variable == "sigma":
-            cfg = replace(spec.fixed, sigma=float(value))
-        else:
-            cfg = replace(spec.fixed, s=int(value))
+    for vi, (value, cfg) in enumerate(zip(spec.values, configs)):
         sched = cfg.schedule(cfg.s)
         trial_rows = []
         for trial in range(spec.trials):
@@ -172,22 +171,25 @@ def cmd_sweep(spec: SweepSpec) -> tuple[list[dict], bool]:
 
 
 def _config_options(fn):
-    # Each option but --noise-kind passes through as the RecoveryConfig field it names.
+    # Each option but --noise-kind passes through as the RecoveryConfig field
+    # it names, with that field's default.
+    default = {f.name: f.default for f in fields(RecoveryConfig)}
     opts = [
-        click.option("--sigma", type=float, default=0.0, show_default=True,
+        click.option("--sigma", type=float, default=default["sigma"], show_default=True,
                      help="noise standard deviation"),
-        click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--beta", type=float, default=2.5, show_default=True,
+        click.option("--seed", type=int, default=default["seed"], show_default=True),
+        click.option("--beta", type=float, default=default["beta"], show_default=True,
                      help="shift growth factor"),
-        click.option("--c1", type=float, default=2.0, show_default=True,
+        click.option("--c1", type=float, default=default["c1"], show_default=True,
                      help="sample-length multiple of sparsity"),
-        click.option("--c-sigma", type=float, default=6.0, show_default=True,
+        click.option("--c-sigma", type=float, default=default["c_sigma"], show_default=True,
                      help="noise-threshold constant"),
-        click.option("--eta", type=float, default=0.25, show_default=True,
+        click.option("--eta", type=float, default=default["eta"], show_default=True,
                      help="tolerated fraction of failed collision tests"),
-        click.option("--noise-kind", type=click.Choice(["complex-circular", "real-only"]),
-                     default="complex-circular", show_default=True),
-        click.option("--max-outer", "max_outer_iterations", type=int, default=None,
+        click.option("--noise-kind", type=click.Choice(NOISE_KINDS),
+                     default=NOISE_KINDS[0], show_default=True),
+        click.option("--max-outer", "max_outer_iterations", type=int,
+                     default=default["max_outer_iterations"],
                      help="outer iteration cap (default 10*d')"),
     ]
     for opt in reversed(opts):

@@ -91,7 +91,8 @@ def make_schedule(
     delta = min((1 - eps0 N')/2, 1/(2 beta + 2)), and M = floor(log_beta N') + 1
     levels suffice to drive the reconstruction error under 1/2. The ladder
     depends only on N' and beta, so it is the same for every s* and sigma.
-    An M above ``MAX_SHIFT_LEVELS`` or a p above ``MAX_SAMPLE_LENGTH`` raises
+    Every input but N' (``UnwrapMap`` derives it) is checked here, and an M
+    above ``MAX_SHIFT_LEVELS`` or a p above ``MAX_SAMPLE_LENGTH`` raises
     ValueError before any array is built or any prime is searched.
     """
     if s_star < 1:
@@ -102,6 +103,10 @@ def make_schedule(
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if not a_min > 0:
         raise ValueError(f"a_min must be > 0, got {a_min}")
+    if not (math.isfinite(c1) and c1 >= 1):
+        raise ValueError(f"c1 must be finite and >= 1, got {c1}")
+    if not (math.isfinite(c_sigma) and c_sigma > 0):
+        raise ValueError(f"c_sigma must be finite and > 0, got {c_sigma}")
     M = math.floor(math.log(n_eff, beta)) + 1
     if M > MAX_SHIFT_LEVELS:
         raise ValueError(

@@ -11,7 +11,6 @@ this library does not attempt to untangle).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ from .estimator import (
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
 from .spectrum import SparseSpectrum, _row_keys
-from .unwrap import UnwrapMap, _image_range, rewrap_freq, unwrap_freq
+from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
 
@@ -66,27 +65,21 @@ class RecoveryConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (math.isfinite(self.c1) and self.c1 >= 1):
-            raise ValueError(f"c1 must be finite and >= 1, got {self.c1}")
-        if not (math.isfinite(self.c_sigma) and self.c_sigma > 0):
-            raise ValueError(f"c_sigma must be finite and > 0, got {self.c_sigma}")
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
             raise ValueError(
                 f"max_outer_iterations must be None or >= 1, got {self.max_outer_iterations}"
             )
-        try:  # also refuses an odd N or N < 2, d or d1 below 1 and a d1 not dividing d
-            umap = UnwrapMap(bandwidth=self.N, dim=self.d, block=self.d1)
-        except OverflowError as exc:
-            raise ValueError(str(exc)) from exc
+        # Refuses an odd N or N < 2, d or d1 below 1, a d1 not dividing d and N' past int64.
+        umap = UnwrapMap(bandwidth=self.N, dim=self.d, block=self.d1)
         if umap.eff_bandwidth > _MAX_EXACT_BANDWIDTH:
             raise ValueError(
                 f"effective bandwidth {umap.eff_bandwidth} for N={self.N}, d1={self.d1} "
                 "exceeds 2^53; frequencies past it cannot be recovered exactly, use a smaller d1"
             )
         object.__setattr__(self, "umap", umap)
-        # Checks s, sigma, a_min and beta, and the largest p: p only falls with s*.
+        # Checks s, sigma, a_min, c1, c_sigma and beta, and the largest p: p only falls with s*.
         self.schedule(self.s)
 
     def schedule(self, s_star: int) -> RecoverySchedule:
@@ -136,7 +129,6 @@ def recover(
 
     umap = config.umap
     d_red = umap.reduced_dim
-    lo, hi = _image_range(umap)
     max_outer = config.max_outer_iterations
     if max_outer is None:
         max_outer = 10 * d_red
@@ -201,7 +193,7 @@ def recover(
         final = finalize_entry(reconstruct_entry(shifts, phases))
         # An entry outside [lo, hi] is not an unwrapped frequency: junk.
         keep = accept_candidate(votes, M, config.eta)
-        keep &= np.all((final >= lo) & (final <= hi), axis=0)
+        keep &= np.all((final >= umap.lo) & (final <= umap.hi), axis=0)
 
         kept = np.flatnonzero(keep)
         coeffs = np.array([estimate_coefficient(c, p) for c in Fu[kept].tolist()], complex)

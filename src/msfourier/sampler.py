@@ -54,6 +54,9 @@ __all__ = [
 
 _MASK64 = 2**64 - 1
 
+# The noise kinds a NoiseModel accepts; the first is the default.
+NOISE_KINDS = ("complex-circular", "real-only")
+
 # Every plan is validated, but a run builds thousands of plans over a few
 # distinct lengths, so the primality test is remembered per length.
 _prime_length = functools.lru_cache(maxsize=256)(_is_prime)
@@ -69,12 +72,12 @@ class NoiseModel:
 
     sigma: float
     seed: int = 0
-    kind: str = "complex-circular"
+    kind: str = NOISE_KINDS[0]
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.kind not in ("complex-circular", "real-only"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
 

@@ -17,52 +17,49 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "UnwrapMap",
-    "effective_bandwidth",
-    "unwrap_freq",
-    "rewrap_freq",
-]
+__all__ = ["UnwrapMap", "unwrap_freq", "rewrap_freq"]
 
 _INT64_MAX = 2**63 - 1
 
 
-def effective_bandwidth(N: int, d1: int) -> int:
-    """Smallest odd bandwidth covering every unwrapped frequency.
-
-    Signed entries in [-N/2, N/2) reach |v| up to (N/2)(N^{d1}-1)/(N-1), so
-    the unwrapped values need 2*(N/2)*(N^{d1}-1)/(N-1) + 1 bins.
-    """
-    if N < 2 or N % 2 != 0:
-        raise ValueError(f"N must be even and >= 2, got {N}")
-    if d1 < 1:
-        raise ValueError(f"d1 must be >= 1, got {d1}")
-    N, d1 = int(N), int(d1)  # numpy integers would wrap past int64 unseen
-    width = 2 * (N // 2) * (N**d1 - 1) // (N - 1) + 1
-    if width > _INT64_MAX:
-        raise OverflowError(f"effective bandwidth for N={N}, d1={d1} exceeds int64")
-    return width
-
-
 @dataclass(frozen=True)
 class UnwrapMap:
-    """Geometry of a block partial unwrapping: d = block * reduced_dim."""
+    """Geometry of a block partial unwrapping: d = block * reduced_dim.
+
+    With the repunit R = (N^{d1}-1)/(N-1), the unwrapped values of one block
+    (balanced base-N digits in [-N/2, N/2)) are exactly the N^{d1} integers
+    [lo, hi], lo = -(N/2) R and hi = (N/2 - 1) R, and eff_bandwidth = N R + 1
+    is the smallest odd bandwidth covering them.
+    """
 
     bandwidth: int
     dim: int
     block: int
     reduced_dim: int = field(init=False)
     eff_bandwidth: int = field(init=False)
+    lo: int = field(init=False)
+    hi: int = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1 or self.block < 1 or self.dim % self.block != 0:
             raise ValueError(
                 f"d must be a multiple of d1 with d, d1 >= 1, got d={self.dim}, d1={self.block}"
             )
-        object.__setattr__(self, "reduced_dim", self.dim // self.block)
-        object.__setattr__(
-            self, "eff_bandwidth", effective_bandwidth(self.bandwidth, self.block)
-        )
+        if self.bandwidth < 2 or self.bandwidth % 2 != 0:
+            raise ValueError(f"N must be even and >= 2, got {self.bandwidth}")
+        # Python ints: numpy integers would wrap past int64 unseen.
+        N, d1 = int(self.bandwidth), int(self.block)
+        repunit = (N**d1 - 1) // (N - 1)
+        if N * repunit + 1 > _INT64_MAX:
+            raise ValueError(f"effective bandwidth for N={N}, d1={d1} exceeds int64")
+        derived = {
+            "reduced_dim": self.dim // self.block,
+            "eff_bandwidth": N * repunit + 1,
+            "lo": -(N // 2) * repunit,
+            "hi": (N // 2 - 1) * repunit,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def powers(self) -> np.ndarray:
         """(1, N, N^2, ..., N^{d1-1}) as int64."""
@@ -86,18 +83,6 @@ def unwrap_freq(w, umap: UnwrapMap) -> np.ndarray:
     return w.reshape(w.shape[:-1] + (umap.reduced_dim, umap.block)) @ umap.powers()
 
 
-def _image_range(umap: UnwrapMap) -> tuple[int, int]:
-    """[lo, hi]: the integers whose balanced base-N digits fit in d1 places.
-
-    Digits lie in [-N/2, N/2), so lo = -(N/2)(N^{d1}-1)/(N-1) and
-    hi = (N/2 - 1)(N^{d1}-1)/(N-1); the N^{d1} integers in between are
-    exactly the unwrapped values of one block.
-    """
-    half = umap.eff_bandwidth // 2
-    repunit = (umap.bandwidth**umap.block - 1) // (umap.bandwidth - 1)
-    return -half, half - repunit
-
-
 def rewrap_freq(v, umap: UnwrapMap) -> np.ndarray:
     """Invert :func:`unwrap_freq` by balanced base-N digit extraction.
 
@@ -109,9 +94,8 @@ def rewrap_freq(v, umap: UnwrapMap) -> np.ndarray:
     v = np.asarray(v, dtype=np.int64)
     if v.shape[-1:] != (umap.reduced_dim,):
         raise ValueError(f"frequency has shape {v.shape}, expected (..., {umap.reduced_dim})")
-    lo, hi = _image_range(umap)
-    if np.any(v < lo) or np.any(v > hi):
-        raise ValueError(f"entries must lie in [{lo}, {hi}], the unwrapped frequencies")
+    if np.any(v < umap.lo) or np.any(v > umap.hi):
+        raise ValueError(f"entries must lie in [{umap.lo}, {umap.hi}], the unwrapped frequencies")
     N = umap.bandwidth
     half = N // 2
     digits = np.empty(v.shape + (umap.block,), dtype=np.int64)

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ from reference import random_spectrum_per_row
 import msfourier
 from msfourier import RecoveryConfig, read_signal_file
 from msfourier.cli import (
-    SweepSpec, _trial_seeds, cmd_generate, cmd_recover, cmd_sweep, random_spectrum,
+    SweepSpec, _trial_seeds, cli, cmd_generate, cmd_recover, cmd_sweep, random_spectrum,
 )
+from msfourier.sampler import NoiseModel
 
 STUCK_PAIR = "8 2 2\n1.0 0.0 1 -4\n1.0 0.0 1 1\n"
 
@@ -261,6 +263,29 @@ def test_cli_sets_every_shared_option(tmp_path):
     proc = run_cli("sweep", "--variable", "sparsity", "--values", "1,2", "--n", "8",
                    "--d", "2", "--trials", "2", "--out", str(tmp_path / "s.csv"), *shared)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_refuses_non_integer_sparsity_before_any_trial(tmp_path, monkeypatch):
+    # 2.7 used to run at s=2 while its CSV rows said 2.7
+    trials = []
+    monkeypatch.setattr(msfourier.cli, "cmd_recover", lambda *args: trials.append(args))
+    spec = SweepSpec(variable="sparsity", values=[2, 2.7], trials=1,
+                     fixed=RecoveryConfig(N=8, d=2, d1=1, s=2), out_path=str(tmp_path / "s.csv"))
+    with pytest.raises(ValueError, match="s must be an integer"):
+        cmd_sweep(spec)
+    assert trials == [] and not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["recover", "sweep"])
+def test_shared_option_defaults_are_the_field_defaults(command):
+    defaults = {f.name: f.default for f in fields(RecoveryConfig) if f.default is not MISSING}
+    defaults["noise_kind"] = next(f.default for f in fields(NoiseModel) if f.name == "kind")
+    shared = [p for p in cli.commands[command].params if p.name in defaults]
+    assert sorted(p.name for p in shared) == [
+        "beta", "c1", "c_sigma", "eta", "max_outer_iterations", "noise_kind", "seed", "sigma",
+    ]
+    for param in shared:
+        assert param.default == defaults[param.name], param.name
 
 
 def test_sweep_cli_and_validation(tmp_path):

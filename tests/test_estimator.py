@@ -56,6 +56,12 @@ class TestSchedule:
                 make_schedule(4, 0.1, 1.0, 2.0, 6.0, beta, 99)
         with pytest.raises(ValueError, match="sigma"):
             make_schedule(4, float("nan"), 1.0, 2.0, 6.0, 2.5, 99)
+        for c1 in (float("nan"), 0.1):
+            with pytest.raises(ValueError, match="c1"):
+                make_schedule(4, 0.1, 1.0, c1, 6.0, 2.5, 99)
+        for c_sigma in (float("nan"), -1.0, 0.0):
+            with pytest.raises(ValueError, match="c_sigma"):
+                make_schedule(4, 0.1, 1.0, 2.0, c_sigma, 2.5, 99)
 
     def test_ladder_depends_only_on_bandwidth_and_beta(self):
         # recover computes each residual row's shift weights once per run,

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from reference import unwrap_point
 
-from msfourier.unwrap import (
-    UnwrapMap,
-    _image_range,
-    effective_bandwidth,
-    rewrap_freq,
-    unwrap_freq,
-)
+from msfourier.unwrap import UnwrapMap, rewrap_freq, unwrap_freq
 
 
 def make_map(N, d, d1):
@@ -18,16 +12,18 @@ def make_map(N, d, d1):
 
 
 def test_effective_bandwidth_examples():
-    assert effective_bandwidth(20, 1) == 21  # 2*10*1 + 1
-    assert effective_bandwidth(20, 5) == 3368421  # 2*10*168421 + 1
-    assert effective_bandwidth(2, 3) == 15  # 2*1*7 + 1
+    assert make_map(20, 1, 1).eff_bandwidth == 21  # 2*10*1 + 1
+    assert make_map(20, 5, 5).eff_bandwidth == 3368421  # 2*10*168421 + 1
+    assert make_map(2, 3, 3).eff_bandwidth == 15  # 2*1*7 + 1
 
 
 def test_effective_bandwidth_errors():
     with pytest.raises(ValueError):
-        effective_bandwidth(7, 2)  # odd N
-    with pytest.raises(OverflowError):
-        effective_bandwidth(20, 20)
+        make_map(7, 2, 2)  # odd N
+    with pytest.raises(ValueError, match="int64"):
+        make_map(20, 20, 20)
+    with pytest.raises(ValueError, match="N must be even"):
+        make_map(20.5, 2, 1)  # checked before any int() conversion
 
 
 def test_unwrap_point_examples():
@@ -105,7 +101,7 @@ def test_rewrap_matrix_equals_rows():
 @pytest.mark.parametrize("N,d1", [(2, 1), (4, 3), (6, 2)])
 def test_image_range_is_what_rewrap_accepts(N, d1):
     umap = make_map(N, d1, d1)
-    lo, hi = _image_range(umap)
+    lo, hi = umap.lo, umap.hi
     half = umap.eff_bandwidth // 2
     accepted = []
     for v in range(-half - 2, half + 3):
@@ -124,7 +120,7 @@ def test_image_range_standard_size():
     # N=20, d1=5: every one of the 20^5 values in [lo, hi] rewraps and
     # round-trips, and its neighbours outside are refused
     umap = make_map(20, 5, 5)
-    lo, hi = _image_range(umap)
+    lo, hi = umap.lo, umap.hi
     assert hi - lo + 1 == 20**5
     for start in range(lo, hi + 1, 2**18):
         v = np.arange(start, min(start + 2**18, hi + 1), dtype=np.int64)[:, None]
@@ -167,6 +163,7 @@ def test_nonpositive_dim_or_block_refused(d, d1):
 
 def test_effective_bandwidth_of_numpy_integers():
     # numpy int64 arithmetic would wrap past 2^63 without an error
-    assert effective_bandwidth(np.int64(20), np.int64(14)) == effective_bandwidth(20, 14)
-    with pytest.raises(OverflowError):
-        effective_bandwidth(np.int64(20), 15)
+    wide = make_map(np.int64(20), 14, np.int64(14))
+    assert wide.eff_bandwidth == make_map(20, 14, 14).eff_bandwidth
+    with pytest.raises(ValueError, match="int64"):
+        make_map(np.int64(20), 15, 15)
