@@ -23,7 +23,7 @@ from .spectrum import (
     ComparisonReport, SparseSpectrum, _row_keys, compare, read_signal_file, write_signal_file,
 )
 
-__all__ = ["SweepSpec", "cmd_generate", "cmd_recover", "cmd_sweep", "cli", "main"]
+__all__ = ["cmd_recover", "cmd_sweep", "cli", "main"]
 
 CSV_COLUMNS = [
     "variable", "value", "trial", "seed",
@@ -48,13 +48,6 @@ def random_spectrum(N: int, d: int, s: int, seed: int) -> SparseSpectrum:
     return SparseSpectrum.from_arrays(freqs, coeffs, N, d)
 
 
-def cmd_generate(N: int, d: int, s: int, seed: int, out) -> SparseSpectrum:
-    """Write a random test signal in signal-spec format."""
-    spec = random_spectrum(N, d, s, seed)
-    write_signal_file(spec, out)
-    return spec
-
-
 @dataclass
 class RecoverOutcome:
     result: RecoveryResult
@@ -72,9 +65,7 @@ class RecoverOutcome:
 def cmd_recover(
     truth: SparseSpectrum, config: RecoveryConfig, noise_kind: str = NOISE_KINDS[0], out=None
 ) -> RecoverOutcome:
-    """Run recovery against a parsed signal; optionally write the recovered modes."""
-    if len(truth) != config.s:
-        config = replace(config, s=len(truth))
+    """Run recovery at ``config.s`` on a parsed signal; optionally write the recovered modes."""
     noise = NoiseModel(sigma=config.sigma, seed=config.seed, kind=noise_kind)
     t0 = time.perf_counter()
     result = recover(config, truth, noise)
@@ -90,26 +81,6 @@ def cmd_recover(
     )
 
 
-@dataclass
-class SweepSpec:
-    """One benchmark sweep: vary sigma or sparsity, hold the rest fixed."""
-
-    variable: str  # "sigma" | "sparsity"
-    values: list
-    fixed: RecoveryConfig
-    trials: int
-    out_path: str
-    noise_kind: str = NOISE_KINDS[0]
-
-    def __post_init__(self):
-        if self.variable not in ("sigma", "sparsity"):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.values or any(v <= 0 for v in self.values):
-            raise ValueError("values must be nonempty and positive")
-
-
 def _trial_seeds(master: int, value_idx: int, trial: int) -> tuple[int, int]:
     state = np.random.SeedSequence(
         entropy=master & (2**64 - 1), spawn_key=(value_idx, trial)
@@ -117,8 +88,9 @@ def _trial_seeds(master: int, value_idx: int, trial: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def cmd_sweep(spec: SweepSpec) -> tuple[list[dict], bool]:
-    """Run the sweep and write the CSV; returns (rows, all trials converged).
+def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, out_path,
+              noise_kind: str = NOISE_KINDS[0]) -> tuple[list[dict], bool]:
+    """Sweep sigma or sparsity over ``values`` and write the CSV; returns (rows, all converged).
 
     Per (value, trial): a fresh random signal and noise stream from seeds
     derived deterministically off the fixed config's seed. One aggregate
@@ -126,21 +98,27 @@ def cmd_sweep(spec: SweepSpec) -> tuple[list[dict], bool]:
     are wall-clock and not reproducible. p and M report the schedule of
     the first outer iteration.
     """
+    if variable not in ("sigma", "sparsity"):
+        raise ValueError(f"unknown sweep variable {variable!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not values:
+        raise ValueError("values must be nonempty")
     # Every value's config is built, and so checked, before any trial runs.
-    name = "sigma" if spec.variable == "sigma" else "s"
-    configs = [replace(spec.fixed, **{name: value}) for value in spec.values]
+    name = "sigma" if variable == "sigma" else "s"
+    configs = [replace(fixed, **{name: value}) for value in values]
     rows: list[dict] = []
     all_converged = True
-    for vi, (value, cfg) in enumerate(zip(spec.values, configs)):
+    for vi, (value, cfg) in enumerate(zip(values, configs)):
         sched = cfg.schedule(cfg.s)
         trial_rows = []
-        for trial in range(spec.trials):
+        for trial in range(trials):
             signal_seed, noise_seed = _trial_seeds(cfg.seed, vi, trial)
             truth = random_spectrum(cfg.N, cfg.d, cfg.s, signal_seed)
-            outcome = cmd_recover(truth, replace(cfg, seed=noise_seed), spec.noise_kind)
+            outcome = cmd_recover(truth, replace(cfg, seed=noise_seed), noise_kind)
             all_converged &= outcome.result.converged
             trial_rows.append({
-                "variable": spec.variable,
+                "variable": variable,
                 "value": value,
                 "trial": trial,
                 "seed": signal_seed,
@@ -153,7 +131,7 @@ def cmd_sweep(spec: SweepSpec) -> tuple[list[dict], bool]:
                 "M": sched.M,
             })
         mean = {
-            "variable": spec.variable,
+            "variable": variable,
             "value": value,
             "trial": "mean",
             "seed": "",
@@ -162,7 +140,7 @@ def cmd_sweep(spec: SweepSpec) -> tuple[list[dict], bool]:
             mean[col] = sum(r[col] for r in trial_rows) / len(trial_rows)
         rows.extend(trial_rows)
         rows.append(mean)
-    with open(spec.out_path, "w", newline="") as fh:
+    with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -211,7 +189,7 @@ def cli():
 def generate_command(N, d, s, seed, out):
     """Generate a random test signal."""
     try:
-        cmd_generate(N, d, s, seed, out)
+        write_signal_file(random_spectrum(N, d, s, seed), out)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {s} modes to {out}")
@@ -248,7 +226,7 @@ def recover_command(signal, d1, out, noise_kind, **options):
 @click.option("--d", type=int, required=True)
 @click.option("--d1", type=int, default=1, show_default=True)
 @click.option("--sparsity", "s", type=int, default=None,
-              help="fixed sparsity (sigma sweeps)")
+              help="fixed sparsity; sigma sweeps only, where it is required")
 @click.option("--trials", type=int, default=10, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_config_options
@@ -258,14 +236,15 @@ def sweep_command(variable, values, N, d, d1, s, trials, out, noise_kind, **opti
         parsed = [float(v) if variable == "sigma" else int(v) for v in values.split(",")]
     except ValueError as exc:
         raise click.UsageError(f"bad --values: {exc}")
-    if variable == "sigma" and s is None:
+    if variable == "sparsity":
+        if s is not None:
+            raise click.UsageError("--sparsity is refused for sparsity sweeps; --values sets it")
+        s = parsed[0]
+    elif s is None:
         raise click.UsageError("--sparsity is required for sigma sweeps")
     try:
-        fixed = RecoveryConfig(N=N, d=d, d1=d1, s=s or 1, **options)
-        spec = SweepSpec(variable=variable, values=parsed, fixed=fixed,
-                         trials=trials, out_path=out, noise_kind=noise_kind)
-        # each sweep value's config is built and checked inside cmd_sweep
-        _, converged = cmd_sweep(spec)
+        fixed = RecoveryConfig(N=N, d=d, d1=d1, s=s, **options)
+        _, converged = cmd_sweep(variable, parsed, fixed, trials, out, noise_kind)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {out}")

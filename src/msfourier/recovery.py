@@ -28,7 +28,7 @@ from .estimator import (
     reconstruct_entry,
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
-from .spectrum import SparseSpectrum, _row_keys
+from .spectrum import SparseSpectrum, _is_int, _row_keys
 from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
@@ -63,7 +63,7 @@ class RecoveryConfig:
             value = getattr(self, name)
             if value is None and name == "max_outer_iterations":
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")

@@ -34,14 +34,13 @@ numbers as a freshly built generator at a fraction of the cost.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import _is_prime
+from .spectrum import _is_int
 
 __all__ = [
     "NoiseModel",
@@ -56,10 +55,6 @@ _MASK64 = 2**64 - 1
 
 # The noise kinds a NoiseModel accepts; the first is the default.
 NOISE_KINDS = ("complex-circular", "real-only")
-
-# Every plan is validated, but a run builds thousands of plans over a few
-# distinct lengths, so the primality test is remembered per length.
-_prime_length = functools.lru_cache(maxsize=256)(_is_prime)
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,8 @@ class SamplePlan:
     stream: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or not _prime_length(self.p):
-            raise ValueError(f"sample length must be a prime int, got {self.p!r}")
+        if not _is_int(self.p) or self.p < 1:
+            raise ValueError(f"sample length must be an int >= 1, got {self.p!r}")
 
 
 _local = threading.local()

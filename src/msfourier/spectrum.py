@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _row_keys(freqs: np.ndarray) -> np.ndarray:
     """One void scalar per row of a C-order (n, d) int64 array: numpy's set routines
     then treat whole rows as single values, far faster than ``axis=0``."""
@@ -83,6 +88,9 @@ class SparseSpectrum:
         return spec
 
     def _store(self, freqs, coeffs, bandwidth: int, dim: int) -> None:
+        for name, value in (("bandwidth", bandwidth), ("dim", dim)):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if bandwidth < 1:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         if dim < 1:

@@ -10,7 +10,7 @@ from conftest import separable_instance
 from reference import dense_spectrum, direct_dft
 
 from msfourier import FourierMode, NoiseModel, RecoveryConfig, SparseSpectrum, compare, recover
-from msfourier.cli import SweepSpec, cmd_sweep, random_spectrum
+from msfourier.cli import cmd_sweep, random_spectrum
 from msfourier.dft import dft_forward, next_prime_at_least
 from msfourier.estimator import (
     estimate_coefficient,
@@ -184,14 +184,13 @@ def test_criterion_6_sampling_linear_in_d():
 def test_criterion_7_growth_in_s(tmp_path):
     values = [4, 8, 16, 32, 64, 128, 256]
     fixed = RecoveryConfig(N=20, d=100, d1=5, s=1, sigma=SIGMA, seed=42)
-    spec = SweepSpec(
+    rows, converged = cmd_sweep(
         variable="sparsity",
         values=values,
         fixed=fixed,
         trials=3,
         out_path=str(tmp_path / "sparsity_sweep.csv"),
     )
-    rows, converged = cmd_sweep(spec)
     assert converged
     means = {r["value"]: r for r in rows if r["trial"] == "mean"}
 

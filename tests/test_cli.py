@@ -10,10 +10,8 @@ import pytest
 from reference import random_spectrum_per_row
 
 import msfourier
-from msfourier import RecoveryConfig, read_signal_file
-from msfourier.cli import (
-    SweepSpec, _trial_seeds, cli, cmd_generate, cmd_recover, cmd_sweep, random_spectrum,
-)
+from msfourier import RecoveryConfig, read_signal_file, recover, write_signal_file
+from msfourier.cli import _trial_seeds, cli, cmd_recover, cmd_sweep, random_spectrum
 from msfourier.sampler import NoiseModel
 
 STUCK_PAIR = "8 2 2\n1.0 0.0 1 -4\n1.0 0.0 1 1\n"
@@ -36,16 +34,17 @@ def run_cli(*args):
 
 def test_generate_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    cmd_generate(8, 2, 4, seed=3, out=a)
-    cmd_generate(8, 2, 4, seed=3, out=b)
+    write_signal_file(random_spectrum(8, 2, 4, seed=3), a)
+    write_signal_file(random_spectrum(8, 2, 4, seed=3), b)
     assert a.read_bytes() == b.read_bytes()
-    cmd_generate(8, 2, 4, seed=4, out=b)
+    write_signal_file(random_spectrum(8, 2, 4, seed=4), b)
     assert a.read_bytes() != b.read_bytes()
 
 
 def test_generate_unit_circle_and_distinct(tmp_path):
     path = tmp_path / "sig.txt"
-    spec = cmd_generate(20, 6, 32, seed=0, out=path)
+    spec = random_spectrum(20, 6, 32, seed=0)
+    write_signal_file(spec, path)
     for mode in spec.modes:
         assert abs(abs(mode.coeff) - 1.0) <= 1e-12
     freqs = [m.freq for m in spec.modes]
@@ -55,7 +54,7 @@ def test_generate_unit_circle_and_distinct(tmp_path):
 
 def test_generate_overfull_cube(tmp_path):
     with pytest.raises(ValueError):
-        cmd_generate(2, 2, 5, seed=0, out=tmp_path / "x.txt")
+        write_signal_file(random_spectrum(2, 2, 5, seed=0), tmp_path / "x.txt")
 
 
 @pytest.mark.parametrize("N,d", [(2, 1), (2, 5), (4, 3), (8, 2), (20, 1), (20, 7)])
@@ -70,7 +69,7 @@ def test_random_spectrum_matches_per_row_draws(N, d, seed):
 def test_recover_noiseless_single_mode(tmp_path):
     sig = tmp_path / "sig.txt"
     out = tmp_path / "rec.txt"
-    cmd_generate(20, 4, 1, seed=9, out=sig)
+    write_signal_file(random_spectrum(20, 4, 1, seed=9), sig)
     config = RecoveryConfig(N=20, d=4, d1=2, s=1)
     outcome = cmd_recover(read_signal_file(sig), config, out=out)
     assert outcome.result.converged
@@ -114,7 +113,7 @@ def test_cli_exit_codes(tmp_path):
 
     # effective bandwidth above 2^53: refused before any sample is drawn
     wide = tmp_path / "wide.txt"
-    cmd_generate(20, 13, 8, seed=501, out=wide)
+    write_signal_file(random_spectrum(20, 13, 8, seed=501), wide)
     proc = run_cli("recover", str(wide), "--d1", "13")
     assert proc.returncode == 1 and "exceeds 2^53" in proc.stderr
 
@@ -130,7 +129,7 @@ def test_cli_exit_codes(tmp_path):
 def test_recover_refuses_runaway_sample_length(tmp_path):
     # beta=1000 at sigma=0.512 would need sample vectors of ~9.6e11 points
     sig = tmp_path / "sig.txt"
-    cmd_generate(8, 2, 2, seed=1, out=sig)
+    write_signal_file(random_spectrum(8, 2, 2, seed=1), sig)
     proc = run_cli("recover", str(sig), "--d1", "1", "--sigma", "0.512", "--beta", "1000")
     assert proc.returncode == 1 and "sample length" in proc.stderr
 
@@ -153,7 +152,7 @@ def test_cli_input_errors_are_one_line(tmp_path):
 
 def sweep_spec(tmp_path, name="sweep.csv"):
     fixed = RecoveryConfig(N=8, d=2, d1=1, s=2, seed=5)
-    return SweepSpec(
+    return dict(
         variable="sigma",
         values=[0.001, 0.002],
         fixed=fixed,
@@ -164,17 +163,17 @@ def sweep_spec(tmp_path, name="sweep.csv"):
 
 def test_sweep_structure_and_aggregates(tmp_path):
     spec = sweep_spec(tmp_path)
-    rows, converged = cmd_sweep(spec)
+    rows, converged = cmd_sweep(**spec)
     assert converged
     assert len(rows) == 2 * (3 + 1)  # values x (trials + mean)
-    for value in spec.values:
+    for value in spec["values"]:
         trials = [r for r in rows if r["value"] == value and r["trial"] != "mean"]
         mean = next(r for r in rows if r["value"] == value and r["trial"] == "mean")
         for col in ("l1_error", "exact_rate", "samples"):
             assert mean[col] == pytest.approx(
                 sum(t[col] for t in trials) / len(trials), abs=1e-12
             )
-    with open(spec.out_path) as fh:
+    with open(spec["out_path"]) as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == len(rows)
     assert list(parsed[0].keys()) == [
@@ -193,8 +192,8 @@ def test_sweep_bit_reproducible(tmp_path):
                 for row in csv.DictReader(fh)
             ]
 
-    cmd_sweep(sweep_spec(tmp_path, "a.csv"))
-    cmd_sweep(sweep_spec(tmp_path, "b.csv"))
+    cmd_sweep(**sweep_spec(tmp_path, "a.csv"))
+    cmd_sweep(**sweep_spec(tmp_path, "b.csv"))
     assert stripped(tmp_path / "a.csv") == stripped(tmp_path / "b.csv")
 
 
@@ -202,14 +201,13 @@ def test_sweep_ten_value_noise_ladder(tmp_path):
     # the standard noise ladder 0.001..0.512 (x2): one mean row per value
     values = [0.001 * 2**k for k in range(10)]
     fixed = RecoveryConfig(N=8, d=4, d1=1, s=2, seed=20)
-    spec = SweepSpec(
+    rows, converged = cmd_sweep(
         variable="sigma",
         values=values,
         fixed=fixed,
         trials=2,
         out_path=str(tmp_path / "ladder.csv"),
     )
-    rows, converged = cmd_sweep(spec)
     assert converged
     assert len(rows) == 10 * (2 + 1)
     assert values[-1] == pytest.approx(0.512)
@@ -218,14 +216,13 @@ def test_sweep_ten_value_noise_ladder(tmp_path):
 
 def test_sweep_noiseless_errors_vanish(tmp_path):
     fixed = RecoveryConfig(N=8, d=2, d1=1, s=2, seed=12)
-    spec = SweepSpec(
+    rows, converged = cmd_sweep(
         variable="sparsity",
         values=[1, 2],
         fixed=fixed,
         trials=2,
         out_path=str(tmp_path / "s.csv"),
     )
-    rows, converged = cmd_sweep(spec)
     assert converged
     assert all(r["l1_error"] <= 1e-9 for r in rows)
 
@@ -234,10 +231,10 @@ def test_sweep_trial_is_cmd_recover(tmp_path):
     # a sweep trial's row is cmd_recover's outcome on the same signal and
     # noise seed, with p and M from the first outer iteration's schedule
     spec = sweep_spec(tmp_path)
-    rows, _ = cmd_sweep(spec)
-    for vi, value in enumerate(spec.values):
+    rows, _ = cmd_sweep(**spec)
+    for vi, value in enumerate(spec["values"]):
         sched = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value).schedule(2)
-        for trial in range(spec.trials):
+        for trial in range(spec["trials"]):
             signal_seed, noise_seed = _trial_seeds(5, vi, trial)
             truth = random_spectrum(8, 2, 2, signal_seed)
             cfg = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value, seed=noise_seed)
@@ -257,7 +254,7 @@ def test_cli_sets_every_shared_option(tmp_path):
               "--c-sigma", "5.0", "--eta", "0.3", "--max-outer", "40",
               "--noise-kind", "real-only"]
     sig = tmp_path / "sig.txt"
-    cmd_generate(8, 2, 2, seed=1, out=sig)
+    write_signal_file(random_spectrum(8, 2, 2, seed=1), sig)
     proc = run_cli("recover", str(sig), "--d1", "1", *shared)
     assert proc.returncode == 0, proc.stderr
     proc = run_cli("sweep", "--variable", "sparsity", "--values", "1,2", "--n", "8",
@@ -269,10 +266,9 @@ def test_sweep_refuses_non_integer_sparsity_before_any_trial(tmp_path, monkeypat
     # 2.7 used to run at s=2 while its CSV rows said 2.7
     trials = []
     monkeypatch.setattr(msfourier.cli, "cmd_recover", lambda *args: trials.append(args))
-    spec = SweepSpec(variable="sparsity", values=[2, 2.7], trials=1,
-                     fixed=RecoveryConfig(N=8, d=2, d1=1, s=2), out_path=str(tmp_path / "s.csv"))
     with pytest.raises(ValueError, match="s must be an integer"):
-        cmd_sweep(spec)
+        cmd_sweep(variable="sparsity", values=[2, 2.7], trials=1,
+                  fixed=RecoveryConfig(N=8, d=2, d1=1, s=2), out_path=str(tmp_path / "s.csv"))
     assert trials == [] and not (tmp_path / "s.csv").exists()
 
 
@@ -298,3 +294,46 @@ def test_sweep_cli_and_validation(tmp_path):
     proc = run_cli("sweep", "--variable", "sigma", "--values", "0.001", "--n", "8",
                    "--d", "2", "--out", str(out))
     assert proc.returncode == 1  # --sparsity required for sigma sweeps
+
+
+def test_sweep_refusals(tmp_path):
+    good = sweep_spec(tmp_path)
+    for bad, message in [
+        ({"variable": "beta"}, "unknown sweep variable"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"values": []}, "values must be nonempty"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            cmd_sweep(**{**good, **bad})
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sigma_sweep_includes_noiseless(tmp_path):
+    spec = {**sweep_spec(tmp_path), "values": [0, 0.1], "trials": 1}
+    rows, converged = cmd_sweep(**spec)
+    assert converged
+    assert [r["value"] for r in rows if r["trial"] == "mean"] == [0, 0.1]
+
+
+def test_sweep_sparsity_option_rules(tmp_path):
+    out = str(tmp_path / "x.csv")
+    # a sigma sweep passes --sparsity to the schedule, which refuses 0
+    proc = run_cli("sweep", "--variable", "sigma", "--values", "0.001", "--n", "8",
+                   "--d", "2", "--sparsity", "0", "--trials", "1", "--out", out)
+    assert proc.returncode == 1 and "sparsity budget" in proc.stderr
+    # a sparsity sweep takes its sparsities from --values alone
+    proc = run_cli("sweep", "--variable", "sparsity", "--values", "1,2", "--n", "8",
+                   "--d", "2", "--sparsity", "5", "--trials", "1", "--out", out)
+    assert proc.returncode == 1 and "--sparsity" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_recover_runs_at_config_sparsity():
+    # the signal's own mode count is not handed to recover
+    truth = random_spectrum(20, 4, 6, seed=0)
+    cfg = RecoveryConfig(N=20, d=4, d1=2, s=3, seed=1)
+    outcome = cmd_recover(truth, cfg)
+    direct = recover(cfg, truth, NoiseModel(sigma=0.0, seed=1))
+    assert outcome.result.modes == direct.modes
+    assert outcome.result.samples_used == direct.samples_used
+    assert len(outcome.result.modes) == 3 and outcome.report.spurious == 0

@@ -120,6 +120,26 @@ def test_mode_invariants():
             SparseSpectrum.from_arrays(freqs, [1.0], 2**72, 2)
 
 
+@pytest.mark.parametrize(
+    "bandwidth,dim,name",
+    [(20.5, 2, "bandwidth"), (np.float64(20), 2, "bandwidth"), (20, 2.0, "dim"), (20, True, "dim")],
+)
+def test_bandwidth_and_dim_must_be_integers(bandwidth, dim, name):
+    # each would be written as a signal-file header that read_signal_file refuses
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SparseSpectrum.from_arrays([[1, 2]], [1.0], bandwidth, dim)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SparseSpectrum(modes=(FourierMode((1, 2), 1.0),), bandwidth=bandwidth, dim=dim)
+
+
+def test_numpy_integer_metadata_roundtrips(tmp_path):
+    spec = SparseSpectrum.from_arrays([[1, 2]], [1.0], np.int64(20), np.int32(2))
+    path = tmp_path / "sig.txt"
+    write_signal_file(spec, path)
+    assert path.read_text().split("\n")[0] == "20 2 1"
+    assert read_signal_file(path) == spec
+
+
 def test_signal_file_roundtrip(tmp_path):
     spec = SparseSpectrum(
         modes=(FourierMode((1, -4), 0.25 - 0.5j), FourierMode((-3, 2), -1.0 + 1e-9j)),
