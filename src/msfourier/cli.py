@@ -33,7 +33,7 @@ CSV_COLUMNS = [
 
 def random_spectrum(N: int, d: int, s: int, seed: int) -> SparseSpectrum:
     """s modes with unit-circle coefficients and distinct uniform frequencies."""
-    if s > N**d:
+    if s > int(N) ** int(d):  # Python ints: a numpy power would wrap
         raise ValueError(f"cannot place {s} distinct modes in a {N}^{d} cube")
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     coeffs = np.exp(2j * np.pi * rng.random(s))
@@ -117,29 +117,17 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
             truth = random_spectrum(cfg.N, cfg.d, cfg.s, signal_seed)
             outcome = cmd_recover(truth, replace(cfg, seed=noise_seed), noise_kind)
             all_converged &= outcome.result.converged
-            trial_rows.append({
-                "variable": variable,
-                "value": value,
-                "trial": trial,
-                "seed": signal_seed,
-                "l1_error": outcome.report.l1_coeff_error,
-                "exact_rate": outcome.report.exact_freq_rate,
-                "samples": outcome.result.samples_used,
-                "runtime_ms": outcome.runtime_ms,
-                "sample_ms": outcome.sample_ms,
-                "p": sched.p,
-                "M": sched.M,
-            })
-        mean = {
-            "variable": variable,
-            "value": value,
-            "trial": "mean",
-            "seed": "",
-        }
-        for col in ("l1_error", "exact_rate", "samples", "runtime_ms", "sample_ms", "p", "M"):
+            trial_rows.append(dict(zip(CSV_COLUMNS, [
+                variable, value, trial, signal_seed,
+                outcome.report.l1_coeff_error, outcome.report.exact_freq_rate,
+                outcome.result.samples_used, outcome.runtime_ms, outcome.sample_ms,
+                sched.p, sched.M,
+            ], strict=True)))
+        # The mean row labels the columns through seed and averages the rest.
+        mean = dict(zip(CSV_COLUMNS, [variable, value, "mean", ""]))
+        for col in CSV_COLUMNS[len(mean):]:
             mean[col] = sum(r[col] for r in trial_rows) / len(trial_rows)
-        rows.extend(trial_rows)
-        rows.append(mean)
+        rows += trial_rows + [mean]
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dft import next_prime_at_least
+from .spectrum import _is_real
 
 __all__ = [
     "RecoverySchedule",
@@ -97,16 +98,16 @@ def make_schedule(
     """
     if s_star < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {s_star}")
-    if not (math.isfinite(beta) and beta > 1):
-        raise ValueError(f"beta must be finite and > 1, got {beta}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if not a_min > 0:
-        raise ValueError(f"a_min must be > 0, got {a_min}")
-    if not (math.isfinite(c1) and c1 >= 1):
-        raise ValueError(f"c1 must be finite and >= 1, got {c1}")
-    if not (math.isfinite(c_sigma) and c_sigma > 0):
-        raise ValueError(f"c_sigma must be finite and > 0, got {c_sigma}")
+    if not (_is_real(beta) and math.isfinite(beta) and beta > 1):
+        raise ValueError(f"beta must be finite and > 1, got {beta!r}")
+    if not (_is_real(sigma) and math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    if not (_is_real(a_min) and math.isfinite(a_min) and a_min > 0):
+        raise ValueError(f"a_min must be finite and > 0, got {a_min!r}")
+    if not (_is_real(c1) and math.isfinite(c1) and c1 >= 1):
+        raise ValueError(f"c1 must be finite and >= 1, got {c1!r}")
+    if not (_is_real(c_sigma) and math.isfinite(c_sigma) and c_sigma > 0):
+        raise ValueError(f"c_sigma must be finite and > 0, got {c_sigma!r}")
     M = math.floor(math.log(n_eff, beta)) + 1
     if M > MAX_SHIFT_LEVELS:
         raise ValueError(

@@ -11,6 +11,7 @@ this library does not attempt to untangle).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from .estimator import (
     reconstruct_entry,
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
-from .spectrum import SparseSpectrum, _is_int, _row_keys
+from .spectrum import SparseSpectrum, _is_int, _is_real, _row_keys
 from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
@@ -65,8 +66,8 @@ class RecoveryConfig:
                 continue
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0 < self.eta < 1:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+        if not (_is_real(self.eta) and 0 < self.eta < 1):
+            raise ValueError(f"eta must lie in (0, 1), got {self.eta!r}")
         if self.max_outer_iterations is not None and self.max_outer_iterations < 1:
             raise ValueError(
                 f"max_outer_iterations must be None or >= 1, got {self.max_outer_iterations}"
@@ -79,6 +80,10 @@ class RecoveryConfig:
                 "exceeds 2^53; frequencies past it cannot be recovered exactly, use a smaller d1"
             )
         object.__setattr__(self, "umap", umap)
+        # No signal has more modes than the N^d cube holds. N >= 2, so the cube
+        # exceeds s once d reaches s's bit length: a huge d costs no huge power.
+        if self.s > int(self.N) ** min(int(self.d), int(self.s).bit_length()):
+            raise ValueError(f"s={self.s} exceeds the {self.N}^{self.d} frequency cube")
         # Checks s, sigma, a_min, c1, c_sigma and beta, and the largest p: p only falls with s*.
         self.schedule(self.s)
 
@@ -99,15 +104,17 @@ class RecoveryResult:
     sample_seconds: float = field(default=0.0, compare=False)
 
 
-def _weigh_rows(weights, start, freqs, coeffs, shifts) -> None:
-    """Fill ``weights[:, :, start:start+n]`` with the n rows' shift weights.
+def _weigh_rows(weights, start, freqs, coeffs, shifts) -> float:
+    """Fill ``weights[:, :, start:start+n]`` with the n rows' shift weights; returns the seconds.
 
     One level at a time, so temporaries stay one level in size; the
     (d', n) transpose gives one row of weights per shift axis.
     """
+    t0 = time.perf_counter()
     freqs_t = np.ascontiguousarray(freqs.T, dtype=np.float64)
     for alpha, eps in enumerate(shifts.tolist()):
         weights[alpha, :, start : start + len(coeffs)] = shift_weights(coeffs, freqs_t, eps)
+    return time.perf_counter() - t0
 
 
 def recover(
@@ -143,13 +150,20 @@ def recover(
     coeffs_all = truth.coeffs
     shifts = config.schedule(config.s).shifts
     weights = np.empty((len(shifts), d_red, n_truth + config.s), dtype=np.complex128)
-    t0 = time.perf_counter()
-    _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
-    sample_seconds = time.perf_counter() - t0
+    sample_seconds = _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
     n_found = 0
     samples_used = 0
-    stream = 0
+    streams = itertools.count()
     i = 0
+
+    def draw(row_weights):
+        """A counted, timed sample vector on this iteration's line, with the next noise stream."""
+        nonlocal samples_used, sample_seconds
+        t0 = time.perf_counter()
+        vector = gather_unwrapped(index, row_weights, SamplePlan(p=p, stream=next(streams)), noise)
+        sample_seconds += time.perf_counter() - t0
+        samples_used += p
+        return vector
 
     while n_found < config.s and i < max_outer:
         s_star = config.s - n_found
@@ -158,35 +172,21 @@ def recover(
         n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1
 
-        t0 = time.perf_counter()
         # Every vector of this iteration lies on the line along k~.
         index = line_index(freqs_all, k_tilde, p)
-        plan = SamplePlan(p=p, stream=stream)
-        r0 = gather_unwrapped(index, coeffs_all, plan, noise)
-        stream += 1
-        samples_used += p
-        sample_seconds += time.perf_counter() - t0
-        F0 = dft_forward(r0)
+        F0 = dft_forward(draw(coeffs_all))
         bins = top_bins(F0, s_star)
         Fu = F0[bins]
 
-        # Each shift level gathers its d' vectors one by one into a block,
-        # from the residual rows' stored weights at that level and axis, and
-        # transforms the block with one FFT. An empty bin fails every
-        # collision test, so its M+1 votes (eta < 1) reject it; its phases
-        # read 0 and its entries are discarded.
+        # Each shift level draws its d' vectors one by one, from the residual
+        # rows' stored weights at that level and axis, and transforms their
+        # (d', p) block with one FFT. An empty bin fails every collision
+        # test, so its M+1 votes (eta < 1) reject it; its phases read 0 and
+        # its entries are discarded.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
-        block = np.empty((d_red, p), dtype=np.complex128)
         for alpha in range(M + 1):
-            t0 = time.perf_counter()
-            for k in range(1, d_red + 1):
-                plan = SamplePlan(p=p, stream=stream)
-                row_weights = weights[alpha, k - 1, :n_rows]
-                block[k - 1] = gather_unwrapped(index, row_weights, plan, noise)
-                stream += 1
-                samples_used += p
-            sample_seconds += time.perf_counter() - t0
+            block = np.array([draw(w) for w in weights[alpha, :, :n_rows]])
             shifted = dft_forward(block)[:, bins]
             votes += ~np.all(collision_test(Fu, shifted, sched.tau), axis=0)
             phases[alpha] = bin_phase(shifted, Fu)
@@ -208,9 +208,7 @@ def recover(
         _, first = np.unique(_row_keys(rows), return_index=True)
         new = np.sort(first[first >= n_found]) - n_found
         new_freqs, new_coeffs = cands[new], -coeffs[new]
-        t0 = time.perf_counter()
-        _weigh_rows(weights, n_rows, new_freqs, new_coeffs, shifts)
-        sample_seconds += time.perf_counter() - t0
+        sample_seconds += _weigh_rows(weights, n_rows, new_freqs, new_coeffs, shifts)
         freqs_all = np.concatenate([freqs_all, new_freqs])
         coeffs_all = np.concatenate([coeffs_all, new_coeffs])
         n_found += len(new)

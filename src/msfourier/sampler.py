@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import _is_int
+from .spectrum import _is_int, _is_real
 
 __all__ = [
     "NoiseModel",
@@ -70,8 +70,8 @@ class NoiseModel:
     kind: str = NOISE_KINDS[0]
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not (_is_real(self.sigma) and math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -32,6 +33,11 @@ __all__ = [
 def _is_int(value) -> bool:
     """A Python or numpy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number (Python, numpy or any ``numbers.Real``) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _row_keys(freqs: np.ndarray) -> np.ndarray:

@@ -66,6 +66,13 @@ def test_random_spectrum_matches_per_row_draws(N, d, seed):
         assert random_spectrum(N, d, s, seed) == random_spectrum_per_row(N, d, s, seed)
 
 
+def test_random_spectrum_cube_bound_in_python_ints():
+    # np.int64(20) ** 20 wraps; the bound is computed exactly
+    assert len(random_spectrum(np.int64(20), 20, 5, 0)) == 5
+    with pytest.raises(ValueError, match="cannot place 65 distinct modes"):
+        random_spectrum(np.int64(8), np.int64(2), 65, 0)
+
+
 def test_recover_noiseless_single_mode(tmp_path):
     sig = tmp_path / "sig.txt"
     out = tmp_path / "rec.txt"
@@ -262,12 +269,18 @@ def test_cli_sets_every_shared_option(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sweep_refuses_non_integer_sparsity_before_any_trial(tmp_path, monkeypatch):
-    # 2.7 used to run at s=2 while its CSV rows said 2.7
+@pytest.mark.parametrize(
+    "values,message",
+    [([2, 2.7], "s must be an integer"), ([2, 100], "8\\^2 frequency cube")],
+    ids=["non_integer", "past_cube"],
+)
+def test_sweep_refuses_bad_sparsity_before_any_trial(tmp_path, monkeypatch, values, message):
+    # 2.7 used to run at s=2 while its CSV rows said 2.7; 100 modes cannot
+    # fit the 8^2 cube, and used to fail only after value 2's trials had run
     trials = []
     monkeypatch.setattr(msfourier.cli, "cmd_recover", lambda *args: trials.append(args))
-    with pytest.raises(ValueError, match="s must be an integer"):
-        cmd_sweep(variable="sparsity", values=[2, 2.7], trials=1,
+    with pytest.raises(ValueError, match=message):
+        cmd_sweep(variable="sparsity", values=values, trials=1,
                   fixed=RecoveryConfig(N=8, d=2, d1=1, s=2), out_path=str(tmp_path / "s.csv"))
     assert trials == [] and not (tmp_path / "s.csv").exists()
 

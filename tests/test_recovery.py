@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from msfourier import (
     recover,
     recovery,
 )
-from msfourier.cli import random_spectrum
+from msfourier.cli import cmd_recover, random_spectrum
 from msfourier.dft import dft_forward
 from msfourier.estimator import MAX_SAMPLE_LENGTH, make_schedule
 from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
@@ -272,6 +273,14 @@ def test_geometry_validation():
         ("c_sigma", float("inf"), "c_sigma"),
         ("c_sigma", -1.0, "c_sigma"),
         ("c_sigma", 0.0, "c_sigma"),
+        ("sigma", "x", "sigma"),
+        ("sigma", np.True_, "sigma"),
+        ("a_min", float("inf"), "a_min"),
+        ("a_min", "1", "a_min"),
+        ("beta", "2", "beta"),
+        ("c1", None, "c1"),
+        ("c_sigma", True, "c_sigma"),
+        ("eta", "0.5", "eta"),
         ("seed", 1.5, "seed must be an integer"),
         ("max_outer_iterations", 2.5, "max_outer_iterations must be an integer"),
         ("max_outer_iterations", True, "max_outer_iterations must be an integer"),
@@ -281,6 +290,39 @@ def test_noise_and_schedule_inputs_refused(field, value, message):
     # refused when the config is built, before recover draws a sample
     with pytest.raises(ValueError, match=message):
         RecoveryConfig(N=20, d=10, d1=5, s=8, **{field: value})
+
+
+def test_sparsity_past_the_frequency_cube_refused():
+    # no signal has more than N^d modes; the bound holds for numpy integers
+    # and costs nothing at a huge d
+    assert RecoveryConfig(N=8, d=2, d1=1, s=64).s == 64
+    for s in (65, np.int64(65)):
+        with pytest.raises(ValueError, match="8\\^2 frequency cube"):
+            RecoveryConfig(N=8, d=2, d1=1, s=s)
+    assert RecoveryConfig(N=20, d=10**9, d1=1, s=8).s == 8
+
+
+def test_sample_seconds_within_the_recover_call(monkeypatch):
+    # the sample timer covers every gather once: each gather is slowed by a
+    # sleep, so the gathers outweigh the rest of the call and counting any
+    # of them twice would put sample_seconds past the call's wall time
+    truth = random_spectrum(20, 10, 16, 3)
+    cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, seed=7)
+    slept = []
+
+    def slowed(index, weights, plan, noise, _fn=recovery.gather_unwrapped):
+        time.sleep(0.002)
+        slept.append(0.002)
+        return _fn(index, weights, plan, noise)
+
+    monkeypatch.setattr(recovery, "gather_unwrapped", slowed)
+    t0 = time.perf_counter()
+    res = recover(cfg, truth)
+    wall = time.perf_counter() - t0
+    assert 0 < sum(slept) <= res.sample_seconds <= wall
+    slept.clear()
+    outcome = cmd_recover(truth, cfg)
+    assert outcome.runtime_ms >= 0 and outcome.sample_ms >= 1e3 * sum(slept) > 0
 
 
 def test_config_owns_geometry_and_schedule():

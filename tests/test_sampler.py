@@ -308,7 +308,7 @@ def test_plan_validation():
     assert [f.name for f in dataclasses.fields(SamplePlan)] == ["p", "stream"]
     with pytest.raises(ValueError):
         NoiseModel(sigma=-1.0)
-    for sigma in (float("nan"), float("inf")):
+    for sigma in (float("nan"), float("inf"), "x", None, True):
         with pytest.raises(ValueError, match="finite"):
             NoiseModel(sigma=sigma)
     with pytest.raises(ValueError):
