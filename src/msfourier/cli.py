@@ -20,7 +20,8 @@ import numpy as np
 from .recovery import RecoveryConfig, RecoveryResult, recover
 from .sampler import NOISE_KINDS, NoiseModel
 from .spectrum import (
-    ComparisonReport, SparseSpectrum, _row_keys, compare, read_signal_file, write_signal_file,
+    ComparisonReport, SparseSpectrum, _key64, _row_keys, compare, read_signal_file,
+    write_signal_file,
 )
 
 __all__ = ["cmd_recover", "cmd_sweep", "cli", "main"]
@@ -35,7 +36,7 @@ def random_spectrum(N: int, d: int, s: int, seed: int) -> SparseSpectrum:
     """s modes with unit-circle coefficients and distinct uniform frequencies."""
     if s > int(N) ** int(d):  # Python ints: a numpy power would wrap
         raise ValueError(f"cannot place {s} distinct modes in a {N}^{d} cube")
-    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    rng = np.random.Generator(np.random.Philox(key=_key64(seed)))
     coeffs = np.exp(2j * np.pi * rng.random(s))
     # Rows in draw order with repeats skipped. Each draw adds at most one
     # row, so drawing the missing rows as one block consumes the same draws
@@ -82,10 +83,8 @@ def cmd_recover(
 
 
 def _trial_seeds(master: int, value_idx: int, trial: int) -> tuple[int, int]:
-    state = np.random.SeedSequence(
-        entropy=master & (2**64 - 1), spawn_key=(value_idx, trial)
-    ).generate_state(2, dtype=np.uint64)
-    return int(state[0]), int(state[1])
+    seq = np.random.SeedSequence(entropy=_key64(master), spawn_key=(value_idx, trial))
+    return tuple(int(word) for word in seq.generate_state(2, dtype=np.uint64))
 
 
 def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, out_path,

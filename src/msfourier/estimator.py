@@ -26,7 +26,6 @@ from .spectrum import _is_real
 __all__ = [
     "RecoverySchedule",
     "frac_centered",
-    "arg_halfopen",
     "make_schedule",
     "collision_test",
     "bin_phase",
@@ -57,12 +56,6 @@ def frac_centered(x):
     return x - np.floor(x + 0.5)
 
 
-def arg_halfopen(z):
-    """Complex argument in the branch [-pi, pi)."""
-    a = np.angle(z)
-    return np.where(a == np.pi, -np.pi, a)
-
-
 @dataclass(frozen=True)
 class RecoverySchedule:
     """Derived parameters for one outer iteration."""
@@ -89,7 +82,7 @@ def make_schedule(
 
     p is the first prime >= max{c1 s*, (beta(beta+1) a_min c_sigma sigma / pi)^2};
     the second operand keeps the per-level phase error below the admissible
-    delta = min((1 - eps0 N')/2, 1/(2 beta + 2)), and M = floor(log_beta N') + 1
+    delta = 1/(2 beta + 2), and M = floor(log_beta N') + 1
     levels suffice to drive the reconstruction error under 1/2. The ladder
     depends only on N' and beta, so it is the same for every s* and sigma.
     Every input but N' (``UnwrapMap`` derives it) is checked here, and an M
@@ -123,7 +116,7 @@ def make_schedule(
     p = next_prime_at_least(length)
     tau = max(c_sigma * sigma / (a_min * math.sqrt(p)), TAU_FLOOR)
     eps0 = 1.0 / (2 * n_eff)
-    delta = min((1.0 - eps0 * n_eff) / 2.0, 1.0 / (2 * beta + 2))
+    delta = 1.0 / (2 * beta + 2)
     shifts = eps0 * beta ** np.arange(M + 1, dtype=np.float64)
     return RecoverySchedule(p=p, tau=tau, M=M, eps0=eps0, beta=beta, delta=delta, shifts=shifts)
 
@@ -145,12 +138,13 @@ def collision_test(F_unshifted, F_shifted, tau: float):
 def bin_phase(F_shifted, F_unshifted):
     """Arg(shifted/unshifted) in cycles, in [-1/2, 1/2); 0 on empty bins.
 
-    Broadcasts like :func:`collision_test`. An empty bin carries no phase;
-    its collision tests fail, so its candidate is never accepted.
+    Broadcasts like :func:`collision_test`; an argument of pi reads -1/2.
+    An empty bin has no phase: its collision tests fail, so it is never accepted.
     """
     live = np.abs(F_unshifted) >= DEAD_BIN
     ratio = np.where(live, F_shifted, 1.0) / np.where(live, F_unshifted, 1.0)
-    return arg_halfopen(ratio) / (2 * np.pi)
+    a = np.angle(ratio)
+    return np.where(a == np.pi, -np.pi, a) / (2 * np.pi)
 
 
 def reconstruct_entry(shifts, phases):

@@ -60,11 +60,9 @@ class RecoveryConfig:
     umap: UnwrapMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("N", "d", "d1", "s", "seed", "max_outer_iterations"):
+        for name in ("s", "seed", "max_outer_iterations"):
             value = getattr(self, name)
-            if value is None and name == "max_outer_iterations":
-                continue
-            if not _is_int(value):
+            if not (_is_int(value) or (value is None and name == "max_outer_iterations")):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (_is_real(self.eta) and 0 < self.eta < 1):
             raise ValueError(f"eta must lie in (0, 1), got {self.eta!r}")
@@ -72,7 +70,7 @@ class RecoveryConfig:
             raise ValueError(
                 f"max_outer_iterations must be None or >= 1, got {self.max_outer_iterations}"
             )
-        # Refuses an odd N or N < 2, d or d1 below 1, a d1 not dividing d and N' past int64.
+        # UnwrapMap refuses a non-integer, odd or < 2 N, a bad d or d1 and N' past int64.
         umap = UnwrapMap(bandwidth=self.N, dim=self.d, block=self.d1)
         if umap.eff_bandwidth > _MAX_EXACT_BANDWIDTH:
             raise ValueError(
@@ -136,9 +134,7 @@ def recover(
 
     umap = config.umap
     d_red = umap.reduced_dim
-    max_outer = config.max_outer_iterations
-    if max_outer is None:
-        max_outer = 10 * d_red
+    max_outer = config.max_outer_iterations or 10 * d_red
 
     # The residual: the truth's unwrapped rows, then each found mode's row
     # with its coefficient negated, in the order the modes were found. The
@@ -197,13 +193,9 @@ def recover(
 
         kept = np.flatnonzero(keep)
         coeffs = np.array([estimate_coefficient(c, p) for c in Fu[kept].tolist()], complex)
-        # Conflicting candidates: the larger |coeff| wins, then the smaller key,
-        # then bin order (the sort is stable). hypot is Python's abs() of a
-        # complex; np.abs can differ in the last bit and reorder equal ones.
-        order = np.lexsort((*final[::-1, kept], -np.hypot(coeffs.real, coeffs.imag)))
-        cands, coeffs = final[:, kept[order]].T, coeffs[order]
-        # Each key's first row among the found rows followed by the sorted
-        # candidates wins: the candidate rows that win are the new modes.
+        cands = final[:, kept].T
+        # Each key's first row among the found rows followed by the candidates,
+        # in top_bins' rank, wins: the candidate rows that win are the new modes.
         rows = np.concatenate([freqs_all[n_truth:], cands])
         _, first = np.unique(_row_keys(rows), return_index=True)
         new = np.sort(first[first >= n_found]) - n_found

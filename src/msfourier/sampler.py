@@ -25,11 +25,13 @@ interleaved real and imaginary parts of the weights, one inverse FFT and one
 noise draw per vector.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
-64-bit words (seed mod 2^64, stream tag mod 2^64), so one run is exactly
-reproducible while re-sampling a point in a later iteration (fresh tag)
-sees fresh noise. Each thread keeps one Philox generator and re-keys it
-per vector (key set, counter and buffer reset), which draws the same
-numbers as a freshly built generator at a fraction of the cost.
+64-bit words (seed mod 2^64, stream tag mod 2^64) of ``spectrum._key64``,
+which reduces a Python or numpy integer alike, so a numpy integer keys as
+the Python int does. One run is exactly reproducible while re-sampling a point
+in a later iteration (fresh tag) sees fresh noise. Each thread keeps one
+Philox generator and re-keys it per vector (key set, counter and buffer
+reset), which draws the same numbers as a freshly built generator at a
+fraction of the cost.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import _is_int, _is_real
+from .spectrum import _is_int, _is_real, _key64
 
 __all__ = [
     "NoiseModel",
@@ -50,8 +52,6 @@ __all__ = [
     "shift_weights",
     "gather_unwrapped",
 ]
-
-_MASK64 = 2**64 - 1
 
 # The noise kinds a NoiseModel accepts; the first is the default.
 NOISE_KINDS = ("complex-circular", "real-only")
@@ -72,6 +72,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (_is_real(self.sigma) and math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
@@ -115,8 +117,8 @@ def _normals(seed: int, stream: int, count: int) -> np.ndarray:
         }
     state = _local.state
     key = state["state"]["key"]
-    key[0] = seed & _MASK64
-    key[1] = stream & _MASK64
+    key[0] = _key64(seed)
+    key[1] = _key64(stream)
     rng.bit_generator.state = state
     return rng.standard_normal(count)
 

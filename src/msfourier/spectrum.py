@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -33,6 +34,11 @@ __all__ = [
 def _is_int(value) -> bool:
     """A Python or numpy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _key64(value) -> int:
+    """An integer seed or stream tag as a 64-bit key, mod 2^64; a float raises TypeError."""
+    return operator.index(value) % 2**64
 
 
 def _is_real(value) -> bool:
@@ -102,7 +108,8 @@ class SparseSpectrum:
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         raw = np.asarray(freqs)
-        lo, hi = max(-(bandwidth // 2), -(2**63)), min((bandwidth + 1) // 2, 2**63)
+        N = int(bandwidth)  # a Python int: a numpy one would wrap past int64 unseen
+        lo, hi = max(-(N // 2), -(2**63)), min((N + 1) // 2, 2**63)
         if not (np.all(raw >= lo) and np.all(raw < hi)):
             raise ValueError(f"frequency entries must lie in [{lo}, {hi}), bandwidth and int64")
         freqs = raw.astype(np.int64, order="C")

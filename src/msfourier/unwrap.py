@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectrum import _is_int
+
 __all__ = ["UnwrapMap", "unwrap_freq", "rewrap_freq"]
 
 _INT64_MAX = 2**63 - 1
@@ -41,6 +43,9 @@ class UnwrapMap:
     hi: int = field(init=False)
 
     def __post_init__(self):
+        for name, value in (("N", self.bandwidth), ("d", self.dim), ("d1", self.block)):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1 or self.block < 1 or self.dim % self.block != 0:
             raise ValueError(
                 f"d must be a multiple of d1 with d, d1 >= 1, got d={self.dim}, d1={self.block}"

@@ -2,7 +2,7 @@ import csv
 import os
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,12 @@ def test_random_spectrum_cube_bound_in_python_ints():
     assert len(random_spectrum(np.int64(20), 20, 5, 0)) == 5
     with pytest.raises(ValueError, match="cannot place 65 distinct modes"):
         random_spectrum(np.int64(8), np.int64(2), 65, 0)
+
+
+@pytest.mark.parametrize("seed", [3, -3])
+def test_numpy_seeds_match_python_ints(seed):
+    assert random_spectrum(8, 2, 2, np.int64(seed)) == random_spectrum(8, 2, 2, seed)
+    assert _trial_seeds(np.int64(seed), 1, 2) == _trial_seeds(seed, 1, 2)
 
 
 def test_recover_noiseless_single_mode(tmp_path):
@@ -202,6 +208,10 @@ def test_sweep_bit_reproducible(tmp_path):
     cmd_sweep(**sweep_spec(tmp_path, "a.csv"))
     cmd_sweep(**sweep_spec(tmp_path, "b.csv"))
     assert stripped(tmp_path / "a.csv") == stripped(tmp_path / "b.csv")
+    # a numpy integer seed in the fixed config sweeps as the Python int does
+    spec = sweep_spec(tmp_path, "c.csv")
+    cmd_sweep(**dict(spec, fixed=replace(spec["fixed"], seed=np.int64(5))))
+    assert stripped(tmp_path / "c.csv") == stripped(tmp_path / "a.csv")
 
 
 def test_sweep_ten_value_noise_ladder(tmp_path):

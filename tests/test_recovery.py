@@ -140,23 +140,23 @@ def test_pinned_noisy_recovery():
 
 
 # A noiseless run's recorded result. Every coefficient has magnitude 1 up
-# to round-off, so the order in which conflicting candidates are accepted
-# rests on the last bits of |coeff| and on the key order of equal ones.
+# to round-off, so the order in which an outer iteration lists its new
+# modes, top_bins' rank, rests on the last bits of |F0| and on bin index.
 PINNED_NOISELESS_MODES = [
     ((-1, 1, -2, 0), 0.3662989319662818 + 0.9304972286043423j),
     ((-2, 3, 3, -4), -0.153984380910769 + 0.9880732819156318j),
     ((-1, 3, -1, -1), -0.13842780885620304 - 0.990372526747017j),
     ((-4, -4, 1, -2), -0.6301476898936953 + 0.7764752983332048j),
     ((0, -4, -3, -3), 0.22954174575026765 - 0.9732988168892015j),
-    ((0, -1, 2, -1), 0.8117769250070497 - 0.5839676566609651j),
-    ((1, 2, 1, 0), -0.647418248886139 - 0.7621349034188143j),
     ((1, -4, 2, 3), 0.7065088675714214 - 0.7077041896463151j),
+    ((1, 2, 1, 0), -0.647418248886139 - 0.7621349034188143j),
     ((-2, -2, 3, -4), -0.9997046373546247 + 0.024303046139489467j),
     ((-1, -3, 3, -2), -0.9968235109073149 + 0.07964225073674057j),
     ((0, -3, 1, 3), -0.9049576846559181 + 0.42550157341918193j),
+    ((0, -1, 2, -1), 0.8117769250070497 - 0.5839676566609651j),
     ((3, -1, -4, -4), -0.6057079267630393 - 0.7956870662870047j),
-    ((-4, -3, -2, 0), 0.9843910607116441 - 0.17599499876702246j),
     ((2, 3, 3, 2), 0.3552354510013083 - 0.9347768580532452j),
+    ((-4, -3, -2, 0), 0.9843910607116441 - 0.17599499876702246j),
     ((-4, -3, 2, -3), 0.702758749970832 - 0.7114282390652158j),
     ((-3, -1, -2, 3), 0.8932908735364655 - 0.44947904874027034j),
 ]
@@ -206,6 +206,11 @@ def test_deterministic_replay():
     second = recover(cfg, truth)
     assert first == second  # timing field excluded from comparison
     assert first.samples_used == second.samples_used
+    # a numpy integer seed, negative ones too, keys the noise the Python int keys
+    for seed in (5, -5):
+        assert recover(replace(cfg, seed=np.int64(seed)), truth) == recover(
+            replace(cfg, seed=seed), truth
+        )
 
 
 def test_recover_runs_the_estimator_functions(monkeypatch):

@@ -239,6 +239,10 @@ def test_noise_seed_keyed_exactly():
     assert not np.array_equal(vec(-2), vec(0))
     assert not np.array_equal(vec(2**63 + 7), vec(2**63))
     np.testing.assert_array_equal(vec(-1), vec(2**64 - 1))
+    # numpy integer seeds and stream tags key as the Python ints do
+    np.testing.assert_array_equal(vec(np.int64(-1)), vec(-1))
+    noise = NoiseModel(sigma=0.5, seed=3)
+    np.testing.assert_array_equal(noise_vector(noise, np.int64(-1), 5), noise_vector(noise, -1, 5))
 
 
 def test_complex_circular_variance():
@@ -313,4 +317,7 @@ def test_plan_validation():
             NoiseModel(sigma=sigma)
     with pytest.raises(ValueError):
         NoiseModel(sigma=1.0, kind="pink")
+    for seed in (1.5, "x", None, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            NoiseModel(sigma=0.1, seed=seed)
 

@@ -138,6 +138,9 @@ def test_numpy_integer_metadata_roundtrips(tmp_path):
     write_signal_file(spec, path)
     assert path.read_text().split("\n")[0] == "20 2 1"
     assert read_signal_file(path) == spec
+    # the frequency bounds -(N // 2) and (N + 1) // 2 would overflow in int64
+    wide = SparseSpectrum.from_arrays([[0]], [1.0], np.int64(2**63 - 1), 1)
+    assert wide == SparseSpectrum.from_arrays([[0]], [1.0], 2**63 - 1, 1)
 
 
 def test_signal_file_roundtrip(tmp_path):

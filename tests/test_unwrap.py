@@ -22,8 +22,12 @@ def test_effective_bandwidth_errors():
         make_map(7, 2, 2)  # odd N
     with pytest.raises(ValueError, match="int64"):
         make_map(20, 20, 20)
-    with pytest.raises(ValueError, match="N must be even"):
+    with pytest.raises(ValueError, match="N must be an integer"):
         make_map(20.5, 2, 1)  # checked before any int() conversion
+    # a float would give float frequencies or a float d'; a bool is not an integer
+    for N, d, d1, name in [(20.0, 10, 5, "N"), (20, 10.0, 5, "d"), (20, 10, True, "d1")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make_map(N, d, d1)
 
 
 def test_unwrap_point_examples():
