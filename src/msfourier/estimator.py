@@ -50,6 +50,14 @@ MAX_SAMPLE_LENGTH = 2**26 - 5
 # shift weights; any beta >= 1.04 stays below it at every N' <= 2^53.
 MAX_SHIFT_LEVELS = 1024
 
+# Noiseless ladders are sized by float64 phase resolution. The finest shift
+# phase w' eps_M is about beta N'/4 cycles, rounded to within beta N' 2^-55,
+# so beta (beta+1) N' <= 2^47 keeps the admissible error 1/(2 beta + 2) at
+# least 2^7 times that rounding. The cap keeps that error above 5e-5 cycles
+# at small N', where a larger beta saves at most one level.
+PHASE_PRODUCT_BUDGET = 2**47
+MAX_NOISELESS_BETA = 1e4
+
 
 def frac_centered(x):
     """x reduced modulo 1 into [-1/2, 1/2)."""
@@ -83,11 +91,18 @@ def make_schedule(
     p is the first prime >= max{c1 s*, (beta(beta+1) a_min c_sigma sigma / pi)^2};
     the second operand keeps the per-level phase error below the admissible
     delta = 1/(2 beta + 2), and M = floor(log_beta N') + 1
-    levels suffice to drive the reconstruction error under 1/2. The ladder
-    depends only on N' and beta, so it is the same for every s* and sigma.
+    levels suffice to drive the reconstruction error under 1/2.
+
+    At sigma = 0 there is no noise to absorb, so ``beta`` is a floor: the
+    ladder grows by max(beta, min(1e4, beta_res)), beta_res being the
+    positive root of beta (beta+1) N' = 2^47, the largest growth float64
+    phases resolve (see ``PHASE_PRODUCT_BUDGET``). Near N' = 2^53 that root
+    is below the default 2.5, which then stays. The ladder depends only on
+    N', beta and whether sigma is 0, so it is the same for every s*.
     Every input but N' (``UnwrapMap`` derives it) is checked here, and an M
-    above ``MAX_SHIFT_LEVELS`` or a p above ``MAX_SAMPLE_LENGTH`` raises
-    ValueError before any array is built or any prime is searched.
+    above ``MAX_SHIFT_LEVELS`` at the given beta or a p above
+    ``MAX_SAMPLE_LENGTH`` raises ValueError before any array is built or
+    any prime is searched.
     """
     if s_star < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {s_star}")
@@ -107,6 +122,10 @@ def make_schedule(
             f"beta={beta} needs {M} shift levels at N'={n_eff}, above the cap of "
             f"{MAX_SHIFT_LEVELS}; use a larger beta"
         )
+    if sigma == 0:
+        beta_res = (math.sqrt(1 + 4 * PHASE_PRODUCT_BUDGET / n_eff) - 1) / 2
+        beta = max(beta, min(MAX_NOISELESS_BETA, beta_res))
+        M = math.floor(math.log(n_eff, beta)) + 1
 
     amplitude = beta * (beta + 1) * a_min * c_sigma * sigma / math.pi
     # Past 2^32 the square is far above the cap, and ** 2 could overflow.

@@ -83,7 +83,7 @@ class SamplePlan:
     """Length p of one sample vector and the tag of its noise stream.
 
     Callers gathering repeatedly must use distinct ``stream`` tags to draw
-    independent noise per vector.
+    independent noise per vector. Both are Python or numpy integers, not bools.
     """
 
     p: int
@@ -92,6 +92,8 @@ class SamplePlan:
     def __post_init__(self):
         if not _is_int(self.p) or self.p < 1:
             raise ValueError(f"sample length must be an int >= 1, got {self.p!r}")
+        if not _is_int(self.stream):
+            raise ValueError(f"stream must be an integer, got {self.stream!r}")
 
 
 _local = threading.local()

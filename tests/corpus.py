@@ -15,7 +15,8 @@ file with
 
     PYTHONPATH=src python tests/corpus.py [OUT]
 
-and names the cases that moved.
+which prints each case that moved from the record it overwrites, with the
+fields that moved, for the change's notes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from msfourier import NoiseModel, RecoveryConfig, compare, recover
 from msfourier.cli import random_spectrum
 
 EXPECTED = Path(__file__).with_name("corpus_expected.json")
+
+# Recorded fields compared exactly; the coefficients are compared within 1e-12.
+INTEGERS = ("freqs_sha256", "modes", "samples_used", "outer_iterations", "converged", "exact")
 
 # (N, d, d1, s, sigma) at full scale: perfbench's headline, wide_d and many_modes.
 PERFBENCH_SIZES = [(20, 100, 5, 256, 0.512), (20, 1000, 5, 64, 0.512), (20, 20, 5, 1024, 0.0)]
@@ -75,15 +79,37 @@ def run_case(case: dict) -> dict:
     }
 
 
+def moved_fields(got: dict, want: dict) -> list[str]:
+    """The fields in which a case's outputs ``got`` differ from its record ``want``.
+
+    The coefficients are compared within 1e-12, where both hold as many:
+    numpy's SIMD exp may differ in the last bit between CPUs.
+    """
+    moved = [name for name in INTEGERS if got[name] != want[name]]
+    if len(got["coeffs"]) == len(want["coeffs"]):
+        error = np.abs(np.array(got["coeffs"]) - np.array(want["coeffs"]))
+        if error.size and error.max() > 1e-12:
+            moved.append(f"coeffs by {error.max():.3g}")
+    return moved
+
+
 def main(out: Path = EXPECTED) -> None:
+    old = json.loads(out.read_text()) if out.exists() else {}
     records = {case["key"]: run_case(case) for case in cases()}
+    moved = 0
+    for key, record in records.items():
+        fields = moved_fields(record, old[key]) if key in old else ["new case"]
+        if fields:
+            moved += 1
+            print(f"{key}: {', '.join(fields)}")
     with open(out, "w") as fh:
         # one case per line, so a regenerated file diffs case by case
         fh.write("{\n")
         fh.write(",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in records.items()))
         fh.write("\n}\n")
     wrong = sum(r["converged"] and not r["exact"] for r in records.values())
-    print(f"wrote {len(records)} cases to {out}; {wrong} converged but not exact")
+    print(f"wrote {len(records)} cases to {out}; {moved} moved or new, "
+          f"{len(old.keys() - records.keys())} dropped; {wrong} converged but not exact")
 
 
 if __name__ == "__main__":

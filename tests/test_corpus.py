@@ -1,25 +1,15 @@
 import json
 
-import numpy as np
-from corpus import EXPECTED, cases, run_case
-
-INTEGERS = ("freqs_sha256", "modes", "samples_used", "outer_iterations", "converged", "exact")
+from corpus import EXPECTED, cases, moved_fields, run_case
 
 
 def test_corpus_matches_record():
-    # The frequencies and counts are compared exactly and the coefficients
-    # within 1e-12: numpy's SIMD exp may differ in the last bit between CPUs.
     expected = json.loads(EXPECTED.read_text())
     grid = cases()
     assert [case["key"] for case in grid] == list(expected)
     moved = []
     for case in grid:
-        got, want = run_case(case), expected[case["key"]]
-        diff = [name for name in INTEGERS if got[name] != want[name]]
-        if not diff:
-            error = np.abs(np.array(got["coeffs"]) - np.array(want["coeffs"]))
-            if error.size and error.max() > 1e-12:
-                diff.append(f"coeffs by {error.max():.3g}")
+        diff = moved_fields(run_case(case), expected[case["key"]])
         if diff:
             moved.append(f"{case['key']}: {', '.join(diff)}")
     assert not moved, f"{len(moved)} of {len(grid)} cases moved:\n" + "\n".join(moved[:20])

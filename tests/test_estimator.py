@@ -27,7 +27,7 @@ class TestSchedule:
         assert sched.M == 17
         assert sched.tau == pytest.approx(6 * 0.512 / math.sqrt(521))
         assert sched.eps0 == pytest.approx(1 / (2 * 3368421))
-        assert sched.delta == pytest.approx(1 / 7)  # min(1/4, 1/(2*2.5+2))
+        assert sched.delta == pytest.approx(1 / 7)  # 1/(2*2.5+2)
         assert len(sched.shifts) == sched.M + 1
         assert np.all(np.diff(sched.shifts) > 0)
         np.testing.assert_allclose(sched.shifts, sched.eps0 * 2.5 ** np.arange(18))
@@ -65,13 +65,33 @@ class TestSchedule:
 
     def test_ladder_depends_only_on_bandwidth_and_beta(self):
         # recover computes each residual row's shift weights once per run,
-        # so every outer iteration's schedule must carry the same ladder
-        base = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5, 3368421)
-        for s_star in (1, 7, 255, 1024):
-            for sigma in (0.0, 0.001, 0.512, 2.0):
-                sched = make_schedule(s_star, sigma, 1.0, 2.0, 6.0, 2.5, 3368421)
-                assert sched.M == base.M
-                assert sched.shifts.tobytes() == base.shifts.tobytes()
+        # so every outer iteration's schedule must carry the same ladder:
+        # one for sigma > 0 and one, resolution-sized, for sigma = 0
+        for n_eff in (3368421, 215578947368421):  # N=20 with d1=5 and d1=11
+            noisy = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5, n_eff)
+            noiseless = make_schedule(256, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
+            for s_star in (1, 7, 255, 1024):
+                sched = make_schedule(s_star, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
+                assert sched.shifts.tobytes() == noiseless.shifts.tobytes()
+                assert (sched.M, sched.beta) == (noiseless.M, noiseless.beta)
+                for sigma in (0.001, 0.512, 2.0):
+                    sched = make_schedule(s_star, sigma, 1.0, 2.0, 6.0, 2.5, n_eff)
+                    assert sched.shifts.tobytes() == noisy.shifts.tobytes()
+                    assert (sched.M, sched.beta) == (noisy.M, 2.5)
+        # at d1=11 the resolution root is below 2.5: both ladders are beta=2.5's
+        assert noiseless.beta == 2.5
+        assert noiseless.shifts.tobytes() == noisy.shifts.tobytes()
+
+    def test_noiseless_ladder_sized_by_phase_resolution(self):
+        # at sigma = 0, beta grows to the root of beta (beta+1) N' = 2^47,
+        # capped at 1e4 and floored at the given beta
+        n_eff = 3368421  # N=20, d1=5
+        sched = make_schedule(8, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
+        assert sched.beta * (sched.beta + 1) * n_eff == pytest.approx(2**47)
+        assert sched.M == 2 and sched.delta == pytest.approx(1 / (2 * sched.beta + 2))
+        np.testing.assert_allclose(sched.shifts, sched.eps0 * sched.beta ** np.arange(3))
+        assert make_schedule(8, 0.0, 1.0, 2.0, 6.0, 2.5, 9).beta == 1e4
+        assert make_schedule(8, 0.0, 1.0, 2.0, 6.0, 2e4, 9).beta == 2e4
 
     def test_overlong_ladder_refused(self):
         # beta near 1 asks for M = floor(log_beta N') + 1 levels: 15,038 at
@@ -80,9 +100,11 @@ class TestSchedule:
         for beta in (1.001, 1 + 1e-9):
             with pytest.raises(ValueError, match="shift levels"):
                 make_schedule(8, 0.0, 1.0, 2.0, 6.0, beta, 3368421)
+        # at sigma = 0 the configured beta is checked before it is widened;
+        # at sigma > 0 it is the ladder's own
         n_eff = 3368421
         at_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS - 0.5))  # log_beta N' = cap - 1/2
-        assert make_schedule(8, 0.0, 1.0, 2.0, 6.0, at_cap, n_eff).M == MAX_SHIFT_LEVELS
+        assert make_schedule(8, 0.1, 1.0, 2.0, 6.0, at_cap, n_eff).M == MAX_SHIFT_LEVELS
         past_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS + 0.5))
         with pytest.raises(ValueError, match="shift levels"):
             make_schedule(8, 0.0, 1.0, 2.0, 6.0, past_cap, n_eff)

@@ -1,5 +1,6 @@
 import time
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -43,14 +44,18 @@ def test_scaled_down_heavy_noise_recovery():
 
 
 def test_sample_count_formula():
-    # one outer iteration at p=11, d'=2, M=3 consumes 11 * (1 + 2*4) = 99
+    # one outer iteration consumes p (1 + d'(M+1)): at p=11, d'=2 and the
+    # noiseless M=1 of N'=9, 11 * (1 + 2*2) = 55
     modes = tuple(
         FourierMode(freq, 1.0) for freq in ((-4, 0), (-2, 1), (0, 2), (2, 3), (3, -1))
     )
     truth = SparseSpectrum(modes=modes, bandwidth=8, dim=2)
-    res = recover(RecoveryConfig(N=8, d=2, d1=1, s=5), truth)
+    cfg = RecoveryConfig(N=8, d=2, d1=1, s=5)
+    sched = cfg.schedule(5)
+    assert (sched.p, sched.M) == (11, 1)
+    res = recover(cfg, truth)
     assert res.converged and res.outer_iterations == 1
-    assert res.samples_used == 99
+    assert res.samples_used == sched.p * (1 + 2 * (sched.M + 1)) == 55
 
 
 def test_sample_count_doubles_with_d():
@@ -167,7 +172,7 @@ def test_pinned_noiseless_tie_order():
     cfg = RecoveryConfig(N=8, d=4, d1=2, s=16, max_outer_iterations=40)
     res = recover(cfg, truth, NoiseModel(0, 0))
     assert res.converged
-    assert (res.samples_used, res.outer_iterations) == (689, 3)
+    assert (res.samples_used, res.outer_iterations) == (265, 3)
     assert res.modes.freqs.tolist() == [list(w) for w, _ in PINNED_NOISELESS_MODES]
     for coeff, (_, pinned) in zip(res.modes.coeffs.tolist(), PINNED_NOISELESS_MODES):
         assert abs(coeff - pinned) <= 1e-12
@@ -425,3 +430,28 @@ def test_bandwidth_limit_for_exact_recovery():
     res = recover(RecoveryConfig(N=20, d=12, d1=12, s=8, seed=1), truth)
     assert res.converged
     assert compare(truth, res.modes).exact_freq_rate == 1.0
+
+
+# d1 per N for the noiseless guard: N' from 5 up to about 2^43, the range
+# over which the sigma = 0 ladder widens beta past 2.5
+NOISELESS_GUARD_D1 = {4: (1, 5, 13, 21), 8: (1, 4, 9, 14), 20: (1, 3, 6, 10)}
+
+
+def test_noiseless_config_never_converges_wrong():
+    # converged => exact for config sigma = 0 over a fixed seeded grid; a true
+    # sigma of 1e-3 fails every collision test at tau's floor, so those runs
+    # end at the cap of 2 d' outer iterations without converging
+    noiseless = converged = 0
+    for N, d_red, true_sigma, seed in product((4, 8, 20), (1, 2, 4), (0.0, 1e-3), range(3)):
+        for d1 in NOISELESS_GUARD_D1[N]:
+            d = d_red * d1
+            truth = random_spectrum(N, d, min(8, N**d // 2), 2000 + seed)
+            cfg = RecoveryConfig(N=N, d=d, d1=d1, s=len(truth), seed=seed,
+                                 max_outer_iterations=2 * d_red)
+            res = recover(cfg, truth, NoiseModel(true_sigma, seed))
+            if res.converged:
+                assert compare(truth, res.modes).exact_freq_rate == 1.0, (N, d, d1, seed)
+            noiseless += true_sigma == 0
+            converged += res.converged
+    # not vacuous: most noiseless runs converge within the cap
+    assert converged >= 0.75 * noiseless

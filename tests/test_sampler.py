@@ -309,6 +309,10 @@ def test_plan_validation():
         with pytest.raises(ValueError, match="sample length must be an int >= 1"):
             SamplePlan(p=p)
     assert SamplePlan(p=np.int64(7)).p == 7
+    for stream in (1.5, 2.0, "x", None, True):
+        with pytest.raises(ValueError, match="stream must be an integer"):
+            SamplePlan(p=7, stream=stream)
+    assert SamplePlan(p=7, stream=np.int64(-3)).stream == -3
     assert [f.name for f in dataclasses.fields(SamplePlan)] == ["p", "stream"]
     with pytest.raises(ValueError):
         NoiseModel(sigma=-1.0)
