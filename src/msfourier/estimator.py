@@ -50,13 +50,11 @@ MAX_SAMPLE_LENGTH = 2**26 - 5
 # shift weights; any beta >= 1.04 stays below it at every N' <= 2^53.
 MAX_SHIFT_LEVELS = 1024
 
-# Noiseless ladders are sized by float64 phase resolution. The finest shift
-# phase w' eps_M is about beta N'/4 cycles, rounded to within beta N' 2^-55,
-# so beta (beta+1) N' <= 2^47 keeps the admissible error 1/(2 beta + 2) at
-# least 2^7 times that rounding. The cap keeps that error above 5e-5 cycles
-# at small N', where a larger beta saves at most one level.
-PHASE_PRODUCT_BUDGET = 2**47
-MAX_NOISELESS_BETA = 1e4
+# Widest noiseless growth and span (see ``make_schedule``): beta <= 2^24 and
+# beta^M <= 2^46 keep float64 rounding 2^6 below a wrap at every level, and
+# leave room for a noiseless bin's own phase error up to 2^-32 cycles.
+NOISELESS_MAX_BETA = 2.0**24
+NOISELESS_MAX_SPAN = 2.0**46
 
 
 def frac_centered(x):
@@ -93,12 +91,17 @@ def make_schedule(
     delta = 1/(2 beta + 2), and M = floor(log_beta N') + 1
     levels suffice to drive the reconstruction error under 1/2.
 
-    At sigma = 0 there is no noise to absorb, so ``beta`` is a floor: the
-    ladder grows by max(beta, min(1e4, beta_res)), beta_res being the
-    positive root of beta (beta+1) N' = 2^47, the largest growth float64
-    phases resolve (see ``PHASE_PRODUCT_BUDGET``). Near N' = 2^53 that root
-    is below the default 2.5, which then stays. The ladder depends only on
-    N', beta and whether sigma is 0, so it is the same for every s*.
+    At sigma = 0 there is no noise to absorb, only float64 error. Level a's
+    phase is off by the rounding of w' eps_a, about beta^a 2^-54 cycles as
+    |w' eps_a| <= beta^a / 4, plus the error E of the FFT and ``np.angle``
+    on a noiseless bin. Level a does not wrap while beta err(b_{a-1}) +
+    err(b_a), about beta^a 2^-53 + (beta+1) E, stays below 1/2, and the last
+    level rounds right while N' 2^-53 does. So ``beta`` is a floor: below
+    N' = 2^24 the ladder is one level of growth 2^24, below 2^46 two of
+    growth 2^23. beta <= 2^24 and beta^M <= 2^46 hold those bounds 2^6
+    times over for E up to 2^-32 cycles. From N' = 2^46 on, the ladder is
+    the configured beta's. It depends only on N', beta and whether sigma is
+    0, so it is the same for every s*.
     Every input but N' (``UnwrapMap`` derives it) is checked here, and an M
     above ``MAX_SHIFT_LEVELS`` at the given beta or a p above
     ``MAX_SAMPLE_LENGTH`` raises ValueError before any array is built or
@@ -122,9 +125,9 @@ def make_schedule(
             f"beta={beta} needs {M} shift levels at N'={n_eff}, above the cap of "
             f"{MAX_SHIFT_LEVELS}; use a larger beta"
         )
-    if sigma == 0:
-        beta_res = (math.sqrt(1 + 4 * PHASE_PRODUCT_BUDGET / n_eff) - 1) / 2
-        beta = max(beta, min(MAX_NOISELESS_BETA, beta_res))
+    if sigma == 0 and n_eff < NOISELESS_MAX_SPAN:
+        widest = NOISELESS_MAX_BETA if n_eff < NOISELESS_MAX_BETA else NOISELESS_MAX_SPAN**0.5
+        beta = max(beta, widest)
         M = math.floor(math.log(n_eff, beta)) + 1
 
     amplitude = beta * (beta + 1) * a_min * c_sigma * sigma / math.pi

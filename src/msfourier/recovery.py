@@ -187,9 +187,12 @@ def recover(
             votes += ~np.all(collision_test(Fu, shifted, sched.tau), axis=0)
             phases[alpha] = bin_phase(shifted, Fu)
         final = finalize_entry(reconstruct_entry(shifts, phases))
-        # An entry outside [lo, hi] is not an unwrapped frequency: junk.
+        # An entry outside [lo, hi] is not an unwrapped frequency: junk. A
+        # single mode in bin m has w'[k~] = m mod p; an entry that does not
+        # comes from several modes merged in one bin.
         keep = accept_candidate(votes, M, config.eta)
         keep &= np.all((final >= umap.lo) & (final <= umap.hi), axis=0)
+        keep &= final[k_tilde - 1] % p == bins
 
         kept = np.flatnonzero(keep)
         coeffs = np.array([estimate_coefficient(c, p) for c in Fu[kept].tolist()], complex)

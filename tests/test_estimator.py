@@ -66,7 +66,7 @@ class TestSchedule:
     def test_ladder_depends_only_on_bandwidth_and_beta(self):
         # recover computes each residual row's shift weights once per run,
         # so every outer iteration's schedule must carry the same ladder:
-        # one for sigma > 0 and one, resolution-sized, for sigma = 0
+        # one for sigma > 0 and one, sized by float64 error, for sigma = 0
         for n_eff in (3368421, 215578947368421):  # N=20 with d1=5 and d1=11
             noisy = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5, n_eff)
             noiseless = make_schedule(256, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
@@ -78,20 +78,30 @@ class TestSchedule:
                     sched = make_schedule(s_star, sigma, 1.0, 2.0, 6.0, 2.5, n_eff)
                     assert sched.shifts.tobytes() == noisy.shifts.tobytes()
                     assert (sched.M, sched.beta) == (noisy.M, 2.5)
-        # at d1=11 the resolution root is below 2.5: both ladders are beta=2.5's
+        # d1=11 puts N' past 2^46: both ladders are beta=2.5's
         assert noiseless.beta == 2.5
         assert noiseless.shifts.tobytes() == noisy.shifts.tobytes()
 
-    def test_noiseless_ladder_sized_by_phase_resolution(self):
-        # at sigma = 0, beta grows to the root of beta (beta+1) N' = 2^47,
-        # capped at 1e4 and floored at the given beta
-        n_eff = 3368421  # N=20, d1=5
-        sched = make_schedule(8, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
-        assert sched.beta * (sched.beta + 1) * n_eff == pytest.approx(2**47)
-        assert sched.M == 2 and sched.delta == pytest.approx(1 / (2 * sched.beta + 2))
-        np.testing.assert_allclose(sched.shifts, sched.eps0 * sched.beta ** np.arange(3))
-        assert make_schedule(8, 0.0, 1.0, 2.0, 6.0, 2.5, 9).beta == 1e4
-        assert make_schedule(8, 0.0, 1.0, 2.0, 6.0, 2e4, 9).beta == 2e4
+    def test_noiseless_ladder_sized_by_float64_error(self):
+        # at sigma = 0 the ladder is one level of growth 2^24 below N' = 2^24,
+        # two of growth 2^23 below 2^46, and the configured beta's from there
+        # on; a wider configured beta is kept as it is
+        table = {  # N': (beta, M) at a configured 2.5, then at 2^30
+            2**24 - 1: ((2**24, 1), (2**30, 1)),
+            2**24: ((2**23, 2), (2**30, 1)),
+            2**24 + 1: ((2**23, 2), (2**30, 1)),
+            2**46 - 1: ((2**23, 2), (2**30, 2)),
+            2**46: ((2.5, 35), (2**30, 2)),
+            2**46 + 1: ((2.5, 35), (2**30, 2)),
+        }
+        for n_eff, pinned in table.items():
+            for configured, (beta, M) in zip((2.5, 2.0**30), pinned):
+                sched = make_schedule(8, 0.0, 1.0, 2.0, 6.0, configured, n_eff)
+                assert (sched.beta, sched.M) == (beta, M), n_eff
+                assert sched.delta == 1 / (2 * beta + 2)
+                np.testing.assert_array_equal(
+                    sched.shifts, sched.eps0 * float(beta) ** np.arange(M + 1)
+                )
 
     def test_overlong_ladder_refused(self):
         # beta near 1 asks for M = floor(log_beta N') + 1 levels: 15,038 at

@@ -432,9 +432,14 @@ def test_bandwidth_limit_for_exact_recovery():
     assert compare(truth, res.modes).exact_freq_rate == 1.0
 
 
-# d1 per N for the noiseless guard: N' from 5 up to about 2^43, the range
-# over which the sigma = 0 ladder widens beta past 2.5
-NOISELESS_GUARD_D1 = {4: (1, 5, 13, 21), 8: (1, 4, 9, 14), 20: (1, 3, 6, 10)}
+# d1 per N for the noiseless guard: N' from 5 to just below 2^46, the range
+# over which the sigma = 0 ladder widens beta past 2.5, with a d1 on either
+# side of 2^24, where it goes from one level to two
+NOISELESS_GUARD_D1 = {
+    4: (1, 5, 11, 12, 13, 21, 22),
+    8: (1, 4, 7, 8, 9, 14, 15),
+    20: (1, 3, 5, 6, 10),
+}
 
 
 def test_noiseless_config_never_converges_wrong():
@@ -455,3 +460,26 @@ def test_noiseless_config_never_converges_wrong():
             converged += res.converged
     # not vacuous: most noiseless runs converge within the cap
     assert converged >= 0.75 * noiseless
+
+
+def test_noiseless_samples_scale_as_ds():
+    # the sigma = 0 ladder has one or two levels below N' = 2^46, so a
+    # headline-size noiseless run draws Theta(d s) samples: about 1.3 s d at
+    # d1=5 (one level) and 1.0 s d at d1=10 (two)
+    for d1, seed in product((5, 10), range(4)):
+        truth = random_spectrum(20, 100, 256, seed)
+        res = recover(RecoveryConfig(N=20, d=100, d1=d1, s=256, seed=seed), truth)
+        assert res.converged and compare(truth, res.modes).exact_freq_rate == 1.0
+        assert res.samples_used <= 1.6 * 256 * 100, (d1, seed, res.samples_used)
+
+
+def test_single_axis_noisy_never_converges_wrong():
+    # d' = 1 at sigma = 0.5: two modes that share the only axis's residue
+    # land in one bin, and noise can let that bin pass its collision tests;
+    # the bin-residue check refuses it (without it, 4 of these 50 seeds
+    # converge with a wrong frequency)
+    for seed in range(50):
+        truth = random_spectrum(20, 10, 16, seed)
+        res = recover(RecoveryConfig(N=20, d=10, d1=10, s=16, sigma=0.5, seed=seed), truth)
+        if res.converged:
+            assert compare(truth, res.modes).exact_freq_rate == 1.0, seed
