@@ -144,8 +144,7 @@ def _config_options(fn):
                      help="noise standard deviation"),
         click.option("--seed", type=int, default=default["seed"], show_default=True),
         click.option("--beta", type=float, default=default["beta"], show_default=True,
-                     help="shift growth factor; at sigma 0, the floor of a ladder "
-                          "sized by float64 error"),
+                     help="shift growth factor; at sigma 0, floored at 2^24"),
         click.option("--c1", type=float, default=default["c1"], show_default=True,
                      help="sample-length multiple of sparsity"),
         click.option("--c-sigma", type=float, default=default["c_sigma"], show_default=True,

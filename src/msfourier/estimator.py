@@ -50,16 +50,36 @@ MAX_SAMPLE_LENGTH = 2**26 - 5
 # shift weights; any beta >= 1.04 stays below it at every N' <= 2^53.
 MAX_SHIFT_LEVELS = 1024
 
-# Widest noiseless growth and span (see ``make_schedule``): beta <= 2^24 and
-# beta^M <= 2^46 keep float64 rounding 2^6 below a wrap at every level, and
-# leave room for a noiseless bin's own phase error up to 2^-32 cycles.
+# Noiseless growth floor (see ``make_schedule``): with exact shift phases a
+# level wraps only through a noiseless bin's own phase error E, and beta <=
+# 2^24 keeps that error 2^6 below a wrap for E up to 2^-32 cycles.
 NOISELESS_MAX_BETA = 2.0**24
-NOISELESS_MAX_SPAN = 2.0**46
 
 
 def frac_centered(x):
     """x reduced modulo 1 into [-1/2, 1/2)."""
     return x - np.floor(x + 0.5)
+
+
+def _halves(x):
+    """Dekker's split of x into hi + lo, each of at most 26 significant bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _frac_product(a, b):
+    """(a b) mod 1 in [-1/2, 1/2), off by at most 2^-54 cycles.
+
+    Dekker's TwoProduct gives the rounded product p and its exact error e,
+    p + e = a b, from products of the halves, which float64 holds exactly.
+    p minus its nearest integer is exact too, so one rounding remains.
+    """
+    p = a * b
+    ah, al = _halves(a)
+    bh, bl = _halves(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return frac_centered((p - np.rint(p)) + e)
 
 
 @dataclass(frozen=True)
@@ -91,17 +111,17 @@ def make_schedule(
     delta = 1/(2 beta + 2), and M = floor(log_beta N') + 1
     levels suffice to drive the reconstruction error under 1/2.
 
-    At sigma = 0 there is no noise to absorb, only float64 error. Level a's
-    phase is off by the rounding of w' eps_a, about beta^a 2^-54 cycles as
-    |w' eps_a| <= beta^a / 4, plus the error E of the FFT and ``np.angle``
-    on a noiseless bin. Level a does not wrap while beta err(b_{a-1}) +
-    err(b_a), about beta^a 2^-53 + (beta+1) E, stays below 1/2, and the last
-    level rounds right while N' 2^-53 does. So ``beta`` is a floor: below
-    N' = 2^24 the ladder is one level of growth 2^24, below 2^46 two of
-    growth 2^23. beta <= 2^24 and beta^M <= 2^46 hold those bounds 2^6
-    times over for E up to 2^-32 cycles. From N' = 2^46 on, the ladder is
-    the configured beta's. It depends only on N', beta and whether sigma is
-    0, so it is the same for every s*.
+    At sigma = 0 there is no noise to absorb, only float64 error. The shift
+    phases w' eps_a are reduced mod 1 exactly (``_frac_product``), by the
+    sampler and by ``reconstruct_entry`` alike, so level a's phase is off
+    only by the error E of the FFT and ``np.angle`` on a noiseless bin. The
+    running estimate is then within 2E/eps_{a-1} of w' (rounding it to
+    float64 at most doubles its error, as w' is a float64 integer), and
+    level a does not wrap while (2 beta + 1) E stays below 1/2. beta <= 2^24
+    holds that bound 2^6 times over for E up to 2^-32 cycles, so ``beta``
+    is floored at 2^24: the ladder has one level below N' = 2^24, two below
+    2^48 and three up to the 2^53 cap. It depends only on N', beta and
+    whether sigma is 0, so it is the same for every s*.
     Every input but N' (``UnwrapMap`` derives it) is checked here, and an M
     above ``MAX_SHIFT_LEVELS`` at the given beta or a p above
     ``MAX_SAMPLE_LENGTH`` raises ValueError before any array is built or
@@ -125,9 +145,8 @@ def make_schedule(
             f"beta={beta} needs {M} shift levels at N'={n_eff}, above the cap of "
             f"{MAX_SHIFT_LEVELS}; use a larger beta"
         )
-    if sigma == 0 and n_eff < NOISELESS_MAX_SPAN:
-        widest = NOISELESS_MAX_BETA if n_eff < NOISELESS_MAX_BETA else NOISELESS_MAX_SPAN**0.5
-        beta = max(beta, widest)
+    if sigma == 0:
+        beta = max(beta, NOISELESS_MAX_BETA)
         M = math.floor(math.log(n_eff, beta)) + 1
 
     amplitude = beta * (beta + 1) * a_min * c_sigma * sigma / math.pi
@@ -188,7 +207,7 @@ def reconstruct_entry(shifts, phases):
         raise ValueError("shifts must be positive and strictly increasing")
     w = phases[0] / shifts[0]
     for eps, b in zip(shifts[1:], phases[1:]):
-        w = w + frac_centered(b - eps * w) / eps
+        w = w + frac_centered(b - _frac_product(eps, w)) / eps
     return w
 
 

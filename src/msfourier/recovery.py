@@ -34,9 +34,9 @@ from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
 
-# Shift phases are computed as float64(w') * eps, so an unwrapped entry w'
-# must stay an exact float64 integer. Above this effective bandwidth N' the
-# recovered frequencies are wrong although the run reports convergence.
+# Shift weights and entry estimates hold an unwrapped entry w' as a float64,
+# so w' must stay an exact float64 integer. Above this effective bandwidth N'
+# the recovered frequencies are wrong although the run reports convergence.
 _MAX_EXACT_BANDWIDTH = 2**53
 
 

@@ -17,12 +17,15 @@ length p.
 The residues depend only on the line (axis k~ and p) and the shift phases
 only on the shift (axis k and eps), so they are built apart from the
 vectors: ``line_index`` once per line, and ``shift_weights`` once per mode
-and shift size, for all d' shift axes at once. The shift ladder is the same
-in every outer iteration, so ``recovery.recover`` weighs each residual row
-once per level when the row joins and keeps the weights, (M+1) d' (n + s)
-complex128 values. ``gather_unwrapped`` then costs one ``bincount`` over the
-interleaved real and imaginary parts of the weights, one inverse FFT and one
-noise draw per vector.
+and shift size, for all d' shift axes at once. It reduces each phase w eps
+modulo 1 from the exact product of float64 w and eps
+(``estimator._frac_product``): at the largest shifts |w eps| can pass 2^53,
+where the rounded product has no fractional bit left. The shift ladder is
+the same in every outer iteration, so ``recovery.recover`` weighs each
+residual row once per level when the row joins and keeps the weights,
+(M+1) d' (n + s) complex128 values. ``gather_unwrapped`` then costs one
+``bincount`` over the interleaved real and imaginary parts of the weights,
+one inverse FFT and one noise draw per vector.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64) of ``spectrum._key64``,
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import _frac_product
 from .spectrum import _is_int, _is_real, _key64
 
 __all__ = [
@@ -151,13 +155,14 @@ def line_index(freqs: np.ndarray, axis: int, p: int) -> np.ndarray:
 
 
 def shift_weights(coeffs: np.ndarray, freqs_t: np.ndarray, eps: float) -> np.ndarray:
-    """coeffs * exp(2 pi i w eps) for every row w of ``freqs_t``.
+    """coeffs * exp(2 pi i w eps) for every row w of ``freqs_t``, with the
+    phase w eps reduced mod 1 from its exact value, not its rounded one.
 
     ``freqs_t`` is float64 with the modes along its last axis: the (d', n)
     transpose of the unwrapped frequencies gives one row of weights per
     shift axis, a single column ``freqs[:, k]`` gives that axis's weights.
     """
-    return coeffs * np.exp(2j * np.pi * (freqs_t * eps))
+    return coeffs * np.exp(2j * np.pi * _frac_product(freqs_t, eps))
 
 
 def _synthesize(index: np.ndarray, weights: np.ndarray, plan: SamplePlan) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Brute-force references the tests compare the package against: a direct
 O(p^2) DFT, a dense transform of a tiny spectrum, the point form of the
-block unwrapping and a one-row-per-draw random spectrum."""
+block unwrapping, a one-row-per-draw random spectrum and shift phases in
+rational arithmetic."""
 
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,3 +64,13 @@ def random_spectrum_per_row(N: int, d: int, s: int, seed: int) -> SparseSpectrum
     while len(freqs) < s:
         freqs.setdefault(tuple(rng.integers(-N // 2, N // 2, size=d).tolist()))
     return SparseSpectrum.from_arrays(list(freqs), coeffs, N, d)
+
+
+def _exact_frac_product(a: float, b: float) -> float:
+    exact = Fraction(a) * Fraction(b)
+    return float(exact - math.floor(exact + Fraction(1, 2)))
+
+
+# (a b) mod 1 in [-1/2, 1/2) of float64 arrays a and b (broadcast), computed
+# exactly in rationals and rounded once to float64.
+frac_product = np.vectorize(_exact_frac_product, otypes=[np.float64])

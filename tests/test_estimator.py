@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from reference import frac_product
 
 from msfourier import FourierMode, NoiseModel, SparseSpectrum
 from msfourier.dft import dft_forward
 from msfourier.estimator import (
     MAX_SHIFT_LEVELS,
+    NOISELESS_MAX_BETA,
+    _frac_product,
     accept_candidate,
     bin_phase,
     collision_test,
@@ -66,10 +69,11 @@ class TestSchedule:
     def test_ladder_depends_only_on_bandwidth_and_beta(self):
         # recover computes each residual row's shift weights once per run,
         # so every outer iteration's schedule must carry the same ladder:
-        # one for sigma > 0 and one, sized by float64 error, for sigma = 0
-        for n_eff in (3368421, 215578947368421):  # N=20 with d1=5 and d1=11
+        # one for sigma > 0 and one, floored at growth 2^24, for sigma = 0
+        for n_eff in (3368421, 215578947368421, 4311578947368421):  # N=20, d1=5, 11, 12
             noisy = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5, n_eff)
             noiseless = make_schedule(256, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
+            assert noiseless.beta == NOISELESS_MAX_BETA
             for s_star in (1, 7, 255, 1024):
                 sched = make_schedule(s_star, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
                 assert sched.shifts.tobytes() == noiseless.shifts.tobytes()
@@ -78,21 +82,18 @@ class TestSchedule:
                     sched = make_schedule(s_star, sigma, 1.0, 2.0, 6.0, 2.5, n_eff)
                     assert sched.shifts.tobytes() == noisy.shifts.tobytes()
                     assert (sched.M, sched.beta) == (noisy.M, 2.5)
-        # d1=11 puts N' past 2^46: both ladders are beta=2.5's
-        assert noiseless.beta == 2.5
-        assert noiseless.shifts.tobytes() == noisy.shifts.tobytes()
 
     def test_noiseless_ladder_sized_by_float64_error(self):
-        # at sigma = 0 the ladder is one level of growth 2^24 below N' = 2^24,
-        # two of growth 2^23 below 2^46, and the configured beta's from there
-        # on; a wider configured beta is kept as it is
+        # at sigma = 0 the growth is at least 2^24 at every N', so the ladder
+        # has one level below N' = 2^24, two below 2^48 and three up to the
+        # 2^53 cap; a wider configured beta is kept as it is
         table = {  # N': (beta, M) at a configured 2.5, then at 2^30
             2**24 - 1: ((2**24, 1), (2**30, 1)),
-            2**24: ((2**23, 2), (2**30, 1)),
-            2**24 + 1: ((2**23, 2), (2**30, 1)),
-            2**46 - 1: ((2**23, 2), (2**30, 2)),
-            2**46: ((2.5, 35), (2**30, 2)),
-            2**46 + 1: ((2.5, 35), (2**30, 2)),
+            2**24: ((2**24, 2), (2**30, 1)),
+            2**24 + 1: ((2**24, 2), (2**30, 1)),
+            2**46: ((2**24, 2), (2**30, 2)),
+            2**48 + 1: ((2**24, 3), (2**30, 2)),
+            2**53: ((2**24, 3), (2**30, 2)),
         }
         for n_eff, pinned in table.items():
             for configured, (beta, M) in zip((2.5, 2.0**30), pinned):
@@ -251,6 +252,54 @@ class TestEntryEstimation:
             reconstruct_entry([0.1, 0.2], [0.0])
         with pytest.raises(ValueError):
             reconstruct_entry([0.0, 0.1], [0.0, 0.0])  # shifts must be positive
+
+
+class TestFracProduct:
+    @staticmethod
+    def cycles_apart(x, y):
+        gap = np.abs(x - y)
+        return np.minimum(gap, 1 - gap)
+
+    def test_matches_rational_reference(self):
+        # integers up to 2^52 against shifts from 2^-54 to 2^20, where the
+        # rounded product alone can be off by up to half a cycle
+        rng = np.random.default_rng(21)
+        a = np.round(rng.uniform(-1, 1, 2000) * 2.0 ** rng.uniform(0, 52, 2000))
+        b = rng.uniform(0.5, 1, 2000) * 2.0 ** rng.uniform(-54, 20, 2000)
+        got = _frac_product(a, b)
+        assert np.all((got >= -0.5) & (got < 0.5))
+        assert np.all(self.cycles_apart(got, frac_product(a, b)) <= 2.0**-53)
+        assert np.max(self.cycles_apart(frac_centered(a * b), frac_product(a, b))) > 0.1
+
+    def test_across_real_ladders(self):
+        # every shift of the noisy and the noiseless ladder at N' near 2^52,
+        # with entries spanning the unwrapped range [-N'/2, N'/2]
+        n_eff = UnwrapMap(bandwidth=20, dim=12, block=12).eff_bandwidth
+        rng = np.random.default_rng(22)
+        w = np.concatenate([[-(n_eff // 2), n_eff // 2, 0, 1],
+                            rng.integers(-(n_eff // 2), n_eff // 2, 200)]).astype(np.float64)
+        for sigma in (0.0, 0.512):
+            for eps in make_schedule(8, sigma, 1.0, 2.0, 6.0, 2.5, n_eff).shifts:
+                got = _frac_product(w, eps)
+                assert np.all(self.cycles_apart(got, frac_product(w, eps)) <= 2.0**-53)
+                # the product is symmetric, as reconstruct_entry calls it
+                np.testing.assert_array_equal(_frac_product(eps, w), got)
+
+    def test_reconstruct_near_exact_bandwidth(self):
+        # on either ladder at N' near 2^52, phases within delta/2 of their
+        # exact values round back to the entry, the edges of the unwrapped
+        # range included; with eps * w rounded, some land one or two off
+        n_eff = UnwrapMap(bandwidth=20, dim=12, block=12).eff_bandwidth
+        rng = np.random.default_rng(23)
+        w = np.concatenate([[-(n_eff // 2), n_eff // 2 - 1],
+                            rng.integers(-(n_eff // 2), n_eff // 2, 300)])
+        for sigma in (0.0, 0.512):
+            sched = make_schedule(8, sigma, 1.0, 2.0, 6.0, 2.5, n_eff)
+            noise = rng.uniform(-sched.delta / 2, sched.delta / 2, (sched.M + 1, len(w)))
+            exact = frac_product(w.astype(np.float64), sched.shifts[:, None])
+            phases = frac_centered(exact + noise)
+            est = finalize_entry(reconstruct_entry(sched.shifts, phases))
+            np.testing.assert_array_equal(est, w)
 
 
 def test_finalize_entry():

@@ -432,13 +432,13 @@ def test_bandwidth_limit_for_exact_recovery():
     assert compare(truth, res.modes).exact_freq_rate == 1.0
 
 
-# d1 per N for the noiseless guard: N' from 5 to just below 2^46, the range
-# over which the sigma = 0 ladder widens beta past 2.5, with a d1 on either
-# side of 2^24, where it goes from one level to two
+# d1 per N for the noiseless guard: N' from 5 to about 2^48, with a d1 on
+# either side of 2^24, where the sigma = 0 ladder goes from one level to two,
+# and N=8 with d1=16 (N' ~ 2^48.2) at three
 NOISELESS_GUARD_D1 = {
-    4: (1, 5, 11, 12, 13, 21, 22),
-    8: (1, 4, 7, 8, 9, 14, 15),
-    20: (1, 3, 5, 6, 10),
+    4: (1, 5, 11, 12, 13, 21, 22, 23),
+    8: (1, 4, 7, 8, 9, 14, 15, 16),
+    20: (1, 3, 5, 6, 10, 11),
 }
 
 
@@ -463,14 +463,29 @@ def test_noiseless_config_never_converges_wrong():
 
 
 def test_noiseless_samples_scale_as_ds():
-    # the sigma = 0 ladder has one or two levels below N' = 2^46, so a
+    # the sigma = 0 ladder has at most three levels at every N', so a
     # headline-size noiseless run draws Theta(d s) samples: about 1.3 s d at
-    # d1=5 (one level) and 1.0 s d at d1=10 (two)
-    for d1, seed in product((5, 10), range(4)):
-        truth = random_spectrum(20, 100, 256, seed)
-        res = recover(RecoveryConfig(N=20, d=100, d1=d1, s=256, seed=seed), truth)
+    # d1=5 (one level), 1.0 s d at d1=10 (two) and 1.1 s d at d1=12 (three)
+    for (d, d1), seed in product(((100, 5), (100, 10), (96, 12)), range(4)):
+        truth = random_spectrum(20, d, 256, seed)
+        res = recover(RecoveryConfig(N=20, d=d, d1=d1, s=256, seed=seed), truth)
         assert res.converged and compare(truth, res.modes).exact_freq_rate == 1.0
-        assert res.samples_used <= 1.6 * 256 * 100, (d1, seed, res.samples_used)
+        assert res.samples_used <= 1.6 * 256 * d, (d1, seed, res.samples_used)
+
+
+def test_near_exact_bandwidth_never_converges_wrong():
+    # N' near 2^52 (N=20, d1=12 and N=4, d1=26): rounded shift phases w' eps
+    # are off by up to half a cycle there, and 17 of these 240 runs would
+    # converge with a wrong frequency; exact phases leave none
+    converged = runs = 0
+    for (N, d, d1), sigma, seed in product(((20, 24, 12), (4, 52, 26)), (0.0, 0.5), range(60)):
+        truth = random_spectrum(N, d, 16, seed)
+        res = recover(RecoveryConfig(N=N, d=d, d1=d1, s=16, sigma=sigma, seed=seed), truth)
+        if res.converged:
+            assert compare(truth, res.modes).exact_freq_rate == 1.0, (N, d1, sigma, seed)
+        converged += res.converged
+        runs += 1
+    assert converged >= 0.95 * runs
 
 
 def test_single_axis_noisy_never_converges_wrong():
