@@ -20,8 +20,8 @@ import numpy as np
 from .recovery import RecoveryConfig, RecoveryResult, recover
 from .sampler import NOISE_KINDS, NoiseModel
 from .spectrum import (
-    ComparisonReport, SparseSpectrum, _key64, _row_keys, compare, read_signal_file,
-    write_signal_file,
+    ComparisonReport, SparseSpectrum, _cube_holds, _key64, _row_keys, compare,
+    read_signal_file, write_signal_file,
 )
 
 __all__ = ["cmd_recover", "cmd_sweep", "cli", "main"]
@@ -34,7 +34,7 @@ CSV_COLUMNS = [
 
 def random_spectrum(N: int, d: int, s: int, seed: int) -> SparseSpectrum:
     """s modes with unit-circle coefficients and distinct uniform frequencies."""
-    if s > int(N) ** int(d):  # Python ints: a numpy power would wrap
+    if not _cube_holds(N, d, s):
         raise ValueError(f"cannot place {s} distinct modes in a {N}^{d} cube")
     rng = np.random.Generator(np.random.Philox(key=_key64(seed)))
     coeffs = np.exp(2j * np.pi * rng.random(s))

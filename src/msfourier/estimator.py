@@ -6,6 +6,9 @@ to a noise-scaled error, so the estimate is refined over M+1 geometrically
 growing shifts eps_a = beta^a * eps0: each level wraps the residual error
 into [-1/2, 1/2) of a cycle and divides by the larger shift, shrinking the
 error by beta per level until rounding to the nearest integer is exact.
+The same ratio's modulus tests the bin for a collision: a single mode
+keeps its magnitude under any shift, so ``shift_ratio`` gives each level's
+collision verdict and phase together.
 
 The estimator functions are array-native: each works elementwise on whole
 blocks of bins (shapes broadcast as numpy's do), and ``recovery.recover``
@@ -27,15 +30,13 @@ __all__ = [
     "RecoverySchedule",
     "frac_centered",
     "make_schedule",
-    "collision_test",
-    "bin_phase",
+    "shift_ratio",
     "reconstruct_entry",
     "finalize_entry",
-    "accept_candidate",
     "estimate_coefficient",
 ]
 
-# Bins with magnitude below this are treated as empty (collision test fails).
+# Bins with magnitude below this are treated as empty (they fail the collision test).
 DEAD_BIN = 1e-300
 
 # Threshold floor so noiseless runs tolerate floating-point round-off.
@@ -162,30 +163,20 @@ def make_schedule(
     return RecoverySchedule(p=p, tau=tau, M=M, eps0=eps0, beta=beta, delta=delta, shifts=shifts)
 
 
-def collision_test(F_unshifted, F_shifted, tau: float):
-    """True where the shifted/unshifted magnitude ratio is within tau of 1.
+def shift_ratio(F_unshifted, F_shifted, tau: float):
+    """Collision verdict and phase of the shifted/unshifted bin ratio.
 
-    A bin holding a single mode keeps its magnitude under any shift; a
-    collided (or empty) bin generically does not. Empty bins fail outright.
-    Elementwise: unshifted bins of shape (s*,) broadcast against shifted
-    bins of shape (d', s*).
-    """
-    denom = np.abs(F_unshifted)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        close = np.abs(np.abs(F_shifted) / denom - 1.0) <= tau
-    return close & (denom >= DEAD_BIN)
-
-
-def bin_phase(F_shifted, F_unshifted):
-    """Arg(shifted/unshifted) in cycles, in [-1/2, 1/2); 0 on empty bins.
-
-    Broadcasts like :func:`collision_test`; an argument of pi reads -1/2.
-    An empty bin has no phase: its collision tests fail, so it is never accepted.
+    A bin holding a single mode keeps its magnitude under any shift, so it
+    passes where the ratio's modulus is within tau of 1; a collided bin
+    generically does not. The ratio's argument is the phase, in cycles in
+    [-1/2, 1/2): an argument of pi reads -1/2. An empty bin fails with
+    phase 0. Elementwise: unshifted bins of shape (s*,) broadcast against
+    shifted bins of shape (d', s*). Returns (passed, phase).
     """
     live = np.abs(F_unshifted) >= DEAD_BIN
     ratio = np.where(live, F_shifted, 1.0) / np.where(live, F_unshifted, 1.0)
-    a = np.angle(ratio)
-    return np.where(a == np.pi, -np.pi, a) / (2 * np.pi)
+    passed = live & (np.abs(np.abs(ratio) - 1.0) <= tau)
+    return passed, frac_centered(np.angle(ratio) / (2 * np.pi))
 
 
 def reconstruct_entry(shifts, phases):
@@ -198,6 +189,11 @@ def reconstruct_entry(shifts, phases):
     and c_a = (b_a - eps_a * lambda_{a-1}) mod [-1/2, 1/2), lambda_a being
     the running sum of the first a+1 terms. Returns w, of shape
     ``phases.shape[1:]``.
+
+    The running sum is carried as an exact integer part plus a fraction,
+    and eps_a times the integer part is reduced mod 1 exactly
+    (``_frac_product``): as one float64 near |w| = 2^51 it would round by
+    up to 1/4, which eats the admissible error delta = 1/(2 beta + 2).
     """
     shifts = np.asarray(shifts, dtype=np.float64)
     phases = np.asarray(phases, dtype=np.float64)
@@ -205,23 +201,19 @@ def reconstruct_entry(shifts, phases):
         raise ValueError("phases must hold one level per shift of a nonempty 1-D ladder")
     if shifts[0] <= 0 or np.any(np.diff(shifts) <= 0):
         raise ValueError("shifts must be positive and strictly increasing")
-    w = phases[0] / shifts[0]
+    t = phases[0] / shifts[0]
+    whole = np.rint(t)
+    part = t - whole
     for eps, b in zip(shifts[1:], phases[1:]):
-        w = w + frac_centered(b - _frac_product(eps, w)) / eps
-    return w
+        t = part + frac_centered(b - _frac_product(eps, whole) - eps * part) / eps
+        step = np.rint(t)
+        whole, part = whole + step, t - step
+    return whole + part
 
 
 def finalize_entry(w_est):
     """Nearest integer (int64), ties rounded half away from zero."""
     return np.copysign(np.floor(np.abs(w_est) + 0.5), w_est).astype(np.int64)
-
-
-def accept_candidate(vote, M: int, eta: float):
-    """Keep a candidate whose collision tests failed at most eta*(M+1) times."""
-    vote = np.asarray(vote)
-    if np.any((vote < 0) | (vote > M + 1)):
-        raise ValueError(f"vote outside [0, {M + 1}]")
-    return vote <= eta * (M + 1)
 
 
 def estimate_coefficient(F_unshifted_bin, p: int):

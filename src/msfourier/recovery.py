@@ -3,10 +3,11 @@
 Each outer iteration projects the residual signal onto one reduced-domain
 axis k~, ranks the s* largest DFT bins of a prime-length sample vector,
 then refines a d'-entry frequency estimate per bin through the multiscale
-shift ladder while collision tests vote on the bin's integrity. Accepted
-modes are subtracted from all later samples; the loop ends when s modes
-are found or the iteration budget runs out (the all-axes-collision case
-this library does not attempt to untangle).
+shift ladder: at each level one shifted/unshifted bin ratio gives both the
+entry's phase and the bin's collision vote (``estimator.shift_ratio``).
+Accepted modes are subtracted from all later samples; the loop ends when
+s modes are found or the iteration budget runs out (the all-axes-collision
+case this library does not attempt to untangle).
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ import numpy as np
 from .dft import dft_forward, top_bins
 from .estimator import (
     RecoverySchedule,
-    accept_candidate,
-    bin_phase,
-    collision_test,
     estimate_coefficient,
     finalize_entry,
     make_schedule,
     reconstruct_entry,
+    shift_ratio,
 )
 from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
-from .spectrum import SparseSpectrum, _is_int, _is_real, _row_keys
+from .spectrum import SparseSpectrum, _cube_holds, _is_int, _is_real, _row_keys
 from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
@@ -78,9 +77,8 @@ class RecoveryConfig:
                 "exceeds 2^53; frequencies past it cannot be recovered exactly, use a smaller d1"
             )
         object.__setattr__(self, "umap", umap)
-        # No signal has more modes than the N^d cube holds. N >= 2, so the cube
-        # exceeds s once d reaches s's bit length: a huge d costs no huge power.
-        if self.s > int(self.N) ** min(int(self.d), int(self.s).bit_length()):
+        # No signal has more modes than the N^d cube holds.
+        if not _cube_holds(self.N, self.d, self.s):
             raise ValueError(f"s={self.s} exceeds the {self.N}^{self.d} frequency cube")
         # Checks s, sigma, a_min, c1, c_sigma and beta, and the largest p: p only falls with s*.
         self.schedule(self.s)
@@ -145,6 +143,7 @@ def recover(
     freqs_all = unwrap_freq(truth.freqs, umap)
     coeffs_all = truth.coeffs
     shifts = config.schedule(config.s).shifts
+    M = len(shifts) - 1
     weights = np.empty((len(shifts), d_red, n_truth + config.s), dtype=np.complex128)
     sample_seconds = _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
     n_found = 0
@@ -164,7 +163,7 @@ def recover(
     while n_found < config.s and i < max_outer:
         s_star = config.s - n_found
         sched = config.schedule(s_star)
-        p, M = sched.p, sched.M
+        p = sched.p
         n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1
 
@@ -176,21 +175,20 @@ def recover(
 
         # Each shift level draws its d' vectors one by one, from the residual
         # rows' stored weights at that level and axis, and transforms their
-        # (d', p) block with one FFT. An empty bin fails every collision
-        # test, so its M+1 votes (eta < 1) reject it; its phases read 0 and
-        # its entries are discarded.
+        # (d', p) block with one FFT. A bin failing the collision test on any
+        # axis gets the level's vote. An empty bin fails every level, so its
+        # M+1 votes (eta < 1) reject it; its phases read 0.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
         for alpha in range(M + 1):
             block = np.array([draw(w) for w in weights[alpha, :, :n_rows]])
-            shifted = dft_forward(block)[:, bins]
-            votes += ~np.all(collision_test(Fu, shifted, sched.tau), axis=0)
-            phases[alpha] = bin_phase(shifted, Fu)
+            passed, phases[alpha] = shift_ratio(Fu, dft_forward(block)[:, bins], sched.tau)
+            votes += ~passed.all(axis=0)
         final = finalize_entry(reconstruct_entry(shifts, phases))
         # An entry outside [lo, hi] is not an unwrapped frequency: junk. A
         # single mode in bin m has w'[k~] = m mod p; an entry that does not
         # comes from several modes merged in one bin.
-        keep = accept_candidate(votes, M, config.eta)
+        keep = votes <= config.eta * (M + 1)
         keep &= np.all((final >= umap.lo) & (final <= umap.hi), axis=0)
         keep &= final[k_tilde - 1] % p == bins
 

@@ -46,6 +46,13 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _cube_holds(N, d, s) -> bool:
+    """Whether the N^d frequency cube holds s vectors, in Python ints (a numpy power
+    would wrap). For N >= 2 the cube exceeds s once d reaches s's bit length, and
+    below 2 the power does not grow with d: a huge d costs no huge power."""
+    return s <= int(N) ** min(int(d), int(s).bit_length())
+
+
 def _row_keys(freqs: np.ndarray) -> np.ndarray:
     """One void scalar per row of a C-order (n, d) int64 array: numpy's set routines
     then treat whole rows as single values, far faster than ``axis=0``."""

@@ -7,17 +7,16 @@ from reference import frac_product
 from msfourier import FourierMode, NoiseModel, SparseSpectrum
 from msfourier.dft import dft_forward
 from msfourier.estimator import (
+    DEAD_BIN,
     MAX_SHIFT_LEVELS,
     NOISELESS_MAX_BETA,
     _frac_product,
-    accept_candidate,
-    bin_phase,
-    collision_test,
     estimate_coefficient,
     finalize_entry,
     frac_centered,
     make_schedule,
     reconstruct_entry,
+    shift_ratio,
 )
 from msfourier.sampler import SamplePlan, gather_unwrapped, line_index, shift_weights
 from msfourier.unwrap import UnwrapMap, unwrap_freq
@@ -122,14 +121,26 @@ class TestSchedule:
 
 
 class TestCollisionTest:
+    """The collision verdict of shift_ratio, and the phase it reads beside it."""
+
     def test_unit_modulus_ratio_passes(self):
-        assert collision_test(5 + 0j, 5j, 0.01)
+        passed, phase = shift_ratio(5 + 0j, 5j, 0.01)
+        assert passed and phase == 0.25
 
     def test_half_ratio_fails(self):
-        assert not collision_test(5 + 0j, 2.5 + 0j, 0.01)
+        passed, phase = shift_ratio(5 + 0j, 2.5 + 0j, 0.01)
+        assert not passed and phase == 0.0
 
     def test_empty_bin_fails(self):
-        assert not collision_test(0j, 1 + 0j, 0.5)
+        assert shift_ratio(0j, 1 + 0j, 0.5) == (False, 0.0)
+        # below DEAD_BIN a bin counts as empty even where the ratio is finite
+        assert shift_ratio(1e-310 + 0j, 1e-310j, 0.5) == (False, 0.0)
+
+    def test_argument_of_pi_reads_minus_half(self):
+        # the branch is [-pi, pi): +pi and -pi both read -1/2
+        for shifted in (-1 + 0j, complex(-1, -0.0)):
+            passed, phase = shift_ratio(1 + 0j, shifted, 0.01)
+            assert passed and phase == -0.5
 
     def test_collided_bins_generically_fail(self):
         # two colliding modes: the shifted magnitude |a1 e^{i t1} + a2 e^{i t2}|
@@ -142,14 +153,14 @@ class TestCollisionTest:
             t1, t2 = 2 * np.pi * rng.random(2)
             unshifted = a1 + a2
             shifted = a1 * np.exp(1j * t1) + a2 * np.exp(1j * t2)
-            if not collision_test(unshifted, shifted, 1e-6):
+            if not shift_ratio(unshifted, shifted, 1e-6)[0]:
                 failures += 1
         assert failures >= 0.99 * trials
 
 
 def first_level_entry(F_shifted, F_unshifted, eps0):
     """Coarse entry Arg(shifted/unshifted) / (2 pi eps0): a one-shift ladder."""
-    return reconstruct_entry([eps0], [bin_phase(F_shifted, F_unshifted)])
+    return reconstruct_entry([eps0], [shift_ratio(F_unshifted, F_shifted, 0.0)[1]])
 
 
 # A first level at shift 2^-40 reads a starting estimate w_prev back exactly
@@ -177,16 +188,21 @@ class TestEntryEstimation:
         )
 
     def test_dead_bin_is_never_accepted(self):
-        # an empty unshifted bin has no phase, fails every collision test,
-        # and so collects M+1 votes, which no eta < 1 accepts
-        assert bin_phase(1 + 0j, 0j) == 0.0
-        assert not collision_test(0j, 1 + 0j, 0.5)
-        # below DEAD_BIN a bin counts as empty even where the ratio is finite
-        assert bin_phase(1e-310j, 1e-310 + 0j) == 0.0
-        assert not collision_test(1e-310 + 0j, 1e-310j, 0.5)
-        M = 17
-        assert not accept_candidate(M + 1, M, 0.25)
-        assert not accept_candidate(M + 1, M, 0.99)
+        # an empty unshifted bin, or one below DEAD_BIN, fails at every level
+        # with phase 0, even against shifted bins of its own magnitude, so it
+        # collects M+1 votes, which no eta < 1 accepts (RecoveryConfig
+        # refuses eta >= 1)
+        rng = np.random.default_rng(24)
+        M, d_red = 17, 3
+        for dead in (0j, 1e-310 + 0j, DEAD_BIN / 2 * 1j):
+            turns = np.exp(2j * np.pi * rng.random((M + 1, d_red)))
+            for shifted in (turns, abs(dead) * turns):
+                votes = 0
+                for level in shifted:
+                    passed, phase = shift_ratio(dead, level, 0.5)
+                    assert not phase.any()
+                    votes += ~passed.all()
+                assert votes == M + 1
 
     def test_refine_exact_phase_is_fixed_point(self):
         w = 137.0
@@ -286,16 +302,18 @@ class TestFracProduct:
                 np.testing.assert_array_equal(_frac_product(eps, w), got)
 
     def test_reconstruct_near_exact_bandwidth(self):
-        # on either ladder at N' near 2^52, phases within delta/2 of their
+        # on either ladder at N' near 2^52, phases within 0.99 delta of their
         # exact values round back to the entry, the edges of the unwrapped
-        # range included; with eps * w rounded, some land one or two off
+        # range included; with eps * w rounded, or the running estimate held
+        # as one float64 (rounded by up to 1/4 there), some land one or two off
         n_eff = UnwrapMap(bandwidth=20, dim=12, block=12).eff_bandwidth
         rng = np.random.default_rng(23)
         w = np.concatenate([[-(n_eff // 2), n_eff // 2 - 1],
-                            rng.integers(-(n_eff // 2), n_eff // 2, 300)])
+                            rng.integers(-(n_eff // 2), n_eff // 2, 2000)])
         for sigma in (0.0, 0.512):
             sched = make_schedule(8, sigma, 1.0, 2.0, 6.0, 2.5, n_eff)
-            noise = rng.uniform(-sched.delta / 2, sched.delta / 2, (sched.M + 1, len(w)))
+            edge = 0.99 * sched.delta
+            noise = rng.uniform(-edge, edge, (sched.M + 1, len(w)))
             exact = frac_product(w.astype(np.float64), sched.shifts[:, None])
             phases = frac_centered(exact + noise)
             est = finalize_entry(reconstruct_entry(sched.shifts, phases))
@@ -309,12 +327,21 @@ def test_finalize_entry():
     assert finalize_entry(-2.5) == -3
 
 
-def test_accept_candidate():
-    assert accept_candidate(0, 5, 0.25)
-    assert not accept_candidate(5, 17, 0.25)  # 5 > 0.25 * 18
-    assert accept_candidate(4, 17, 0.25)  # 4 <= 4.5
-    with pytest.raises(ValueError):
-        accept_candidate(20, 17, 0.25)
+def test_votes_count_failing_levels():
+    # recover adds a bin's vote at each level where it fails on any axis and
+    # keeps a candidate with at most eta (M+1) votes: at M = 17 and eta =
+    # 0.25, 4 failing levels are accepted (4 <= 4.5) and 5 are not
+    M, eta = 17, 0.25
+    fails = np.array([0, 4, 5, 18])
+    unshifted = np.full(4, 2 + 0j)
+    votes = np.zeros(4, dtype=np.int64)
+    for alpha in range(M + 1):
+        # (d', s*) = (2, 4): on axis 1 bin j's modulus halves at its first fails[j] levels
+        shifted = np.stack([np.full(4, 2j), np.where(alpha < fails, 1 + 0j, 2 + 0j)])
+        passed, _ = shift_ratio(unshifted, shifted, 0.01)
+        votes += ~passed.all(axis=0)
+    np.testing.assert_array_equal(votes, fails)
+    np.testing.assert_array_equal(votes <= eta * (M + 1), [True, True, False, False])
 
 
 class TestCoefficientEstimate:
@@ -387,24 +414,24 @@ class TestStackedCases:
     """Each estimator function, fed its scalar cases as one stacked array,
     returns the scalar results elementwise (recover calls them on blocks)."""
 
-    def test_collision_test(self):
-        cases = [(5 + 0j, 5j, 0.01), (5 + 0j, 2.5 + 0j, 0.01), (0j, 1 + 0j, 0.5)]
+    def test_shift_ratio(self):
+        turns = np.exp(2j * np.pi * np.array([7, 0, -50, -100, 3]) / 200)
+        cases = [(5 + 0j, 5j, 0.01), (5 + 0j, 2.5 + 0j, 0.01), (0j, 1 + 0j, 0.5),
+                 (1e-310 + 0j, 1e-310j, 0.5), (1 + 0j, -1 + 0j, 0.01)]
+        cases += [(1 + 0j, z, 1e-9) for z in turns] + [(0j, turns[-1], 1e-9)]
         unshifted, shifted, tau = (np.array(col) for col in zip(*cases))
-        expected = [collision_test(*case) for case in cases]
-        np.testing.assert_array_equal(collision_test(unshifted, shifted, tau), expected)
+
+        def elementwise(shifted):
+            return [np.array(col) for col in zip(*map(shift_ratio, unshifted, shifted, tau))]
+
+        passed, phase = shift_ratio(unshifted, shifted, tau)
+        assert passed.dtype == bool
+        np.testing.assert_array_equal([passed, phase], elementwise(shifted))
         # (d', s*) shifted bins against (s*,) unshifted bins
         block = np.stack([shifted, 1j * shifted])
-        np.testing.assert_array_equal(collision_test(unshifted, block, tau), [expected] * 2)
-
-    def test_bin_phase(self):
-        eps0 = 1 / 200
-        shifted = np.exp(2j * np.pi * eps0 * np.array([7, 0, -50, -100, 3]))
-        unshifted = np.array([1, 1, 1, 1, 0], dtype=np.complex128)
-        expected = [bin_phase(a, b) for a, b in zip(shifted, unshifted)]
-        np.testing.assert_array_equal(bin_phase(shifted, unshifted), expected)
-        np.testing.assert_array_equal(
-            bin_phase(np.stack([shifted, shifted]), unshifted), [expected] * 2
-        )
+        passed, phase = shift_ratio(unshifted, block, tau)
+        for axis in range(2):
+            np.testing.assert_array_equal([passed[axis], phase[axis]], elementwise(block[axis]))
 
     def test_reconstruct_entry(self):
         rng = np.random.default_rng(11)
@@ -427,13 +454,6 @@ class TestStackedCases:
         out = finalize_entry(np.array(cases))
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, [finalize_entry(x) for x in cases])
-
-    def test_accept_candidate(self):
-        votes = np.array([0, 4, 5, 18])
-        expected = [accept_candidate(v, 17, 0.25) for v in votes]
-        np.testing.assert_array_equal(accept_candidate(votes, 17, 0.25), expected)
-        with pytest.raises(ValueError):
-            accept_candidate(np.array([0, 20]), 17, 0.25)
 
     def test_estimate_coefficient(self):
         p = 11

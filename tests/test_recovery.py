@@ -225,9 +225,7 @@ def test_recover_runs_the_estimator_functions(monkeypatch):
     cfg = RecoveryConfig(N=20, d=20, d1=5, s=8, sigma=0.256, seed=99)
     plain = recover(cfg, truth)
     calls = {}
-    for name in (
-        "collision_test", "bin_phase", "reconstruct_entry", "finalize_entry", "accept_candidate"
-    ):
+    for name in ("shift_ratio", "reconstruct_entry", "finalize_entry"):
         def counted(*args, _fn=getattr(recovery, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -237,10 +235,8 @@ def test_recover_runs_the_estimator_functions(monkeypatch):
     assert res == plain and res.converged
     outer = res.outer_iterations
     assert calls["reconstruct_entry"] == calls["finalize_entry"] == outer
-    assert calls["accept_candidate"] == outer
-    # one collision test and one phase per shift level
-    assert calls["collision_test"] == calls["bin_phase"] > outer
-    assert calls["collision_test"] % outer == 0
+    # one collision verdict and phase per shift level
+    assert calls["shift_ratio"] == (cfg.schedule(cfg.s).M + 1) * outer
 
 
 def test_geometry_validation():
@@ -251,8 +247,9 @@ def test_geometry_validation():
         RecoveryConfig(N=8, d=3, d1=2, s=1)
     with pytest.raises(ValueError):
         RecoveryConfig(N=7, d=2, d1=1, s=1)
-    with pytest.raises(ValueError):
-        RecoveryConfig(N=8, d=2, d1=1, s=1, eta=1.5)
+    for eta in (1.0, 1.5):  # at eta >= 1 a dead bin's M+1 votes would pass
+        with pytest.raises(ValueError, match="eta"):
+            RecoveryConfig(N=8, d=2, d1=1, s=1, eta=eta)
     for d1 in (0, -1):  # refused before d % d1 is taken
         with pytest.raises(ValueError, match="d1"):
             RecoveryConfig(N=8, d=2, d1=d1, s=1)

@@ -8,6 +8,7 @@ from msfourier import (
     read_signal_file,
     write_signal_file,
 )
+from msfourier.spectrum import _cube_holds
 
 
 def one_mode(freq, coeff, N, d):
@@ -163,3 +164,13 @@ def test_signal_file_malformed(tmp_path):
     path.write_text("8 2 1\n1.0 0.0 3\n")
     with pytest.raises(ValueError):
         read_signal_file(path)
+
+
+def test_cube_bound_answers_at_huge_d():
+    # RecoveryConfig and random_spectrum share this bound; a d of 10^12 costs
+    # no 10^12-digit power, and numpy integers do not wrap it
+    assert _cube_holds(20, 10**12, 10**7)
+    assert _cube_holds(np.int64(2), np.int64(10**12), 2**40)
+    for N, d, s in [(8, 2, 64), (2, 3, 8), (20, 20, 20**20), (8, 10**12, 0)]:
+        assert _cube_holds(N, d, s)
+        assert not _cube_holds(N, min(d, 20), N ** min(d, 20) + 1)
