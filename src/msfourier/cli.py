@@ -94,8 +94,9 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
     Per (value, trial): a fresh random signal and noise stream from seeds
     derived deterministically off the fixed config's seed. One aggregate
     row (trial="mean") per value holds arithmetic means; runtime columns
-    are wall-clock and not reproducible. p and M report the schedule of
-    the first outer iteration.
+    are wall-clock and not reproducible. p is the first outer iteration's
+    sample length, and M the run's top shift level (``cfg.shifts`` has
+    M+1 levels).
     """
     if variable not in ("sigma", "sparsity"):
         raise ValueError(f"unknown sweep variable {variable!r}")
@@ -109,7 +110,7 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
     rows: list[dict] = []
     all_converged = True
     for vi, (value, cfg) in enumerate(zip(values, configs)):
-        sched = cfg.schedule(cfg.s)
+        p, _ = cfg.schedule(cfg.s)
         trial_rows = []
         for trial in range(trials):
             signal_seed, noise_seed = _trial_seeds(cfg.seed, vi, trial)
@@ -120,7 +121,7 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
                 variable, value, trial, signal_seed,
                 outcome.report.l1_coeff_error, outcome.report.exact_freq_rate,
                 outcome.result.samples_used, outcome.runtime_ms, outcome.sample_ms,
-                sched.p, sched.M,
+                p, len(cfg.shifts) - 1,
             ], strict=True)))
         # The mean row labels the columns through seed and averages the rest.
         mean = dict(zip(CSV_COLUMNS, [variable, value, "mean", ""]))

@@ -58,6 +58,8 @@ def top_bins(F, count: int) -> np.ndarray:
     Bins come in descending magnitude, ties to the lower bin index, as int64.
     """
     F = np.asarray(F, dtype=np.complex128)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if count > len(F):
         raise ValueError(f"count {count} exceeds vector length {len(F)}")
     # Stable sort on negated magnitudes keeps equal-magnitude bins in index order.

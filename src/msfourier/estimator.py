@@ -10,6 +10,10 @@ The same ratio's modulus tests the bin for a collision: a single mode
 keeps its magnitude under any shift, so ``shift_ratio`` gives each level's
 collision verdict and phase together.
 
+The ladder belongs to the run: ``RecoveryConfig`` builds it once
+(``_shift_ladder``). ``make_schedule`` gives what follows the remaining
+sparsity s* from one outer iteration to the next: p and tau.
+
 The estimator functions are array-native: each works elementwise on whole
 blocks of bins (shapes broadcast as numpy's do), and ``recovery.recover``
 calls them on every ranked bin of an outer iteration at once, so the
@@ -19,7 +23,6 @@ functions the tests check are the ones the peeling loop runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +30,10 @@ from .dft import next_prime_at_least
 from .spectrum import _is_real
 
 __all__ = [
-    "RecoverySchedule",
     "frac_centered",
     "make_schedule",
     "shift_ratio",
     "reconstruct_entry",
-    "finalize_entry",
     "estimate_coefficient",
 ]
 
@@ -46,12 +47,12 @@ TAU_FLOOR = 1e-9
 # 2^26 points takes 1 GiB. A prime, so p <= it exactly when the length is.
 MAX_SAMPLE_LENGTH = 2**26 - 5
 
-# Most shift levels a schedule may have. Every outer iteration gathers
+# Most shift levels a ladder may have. Every outer iteration gathers
 # (M+1) d' shifted vectors, and ``recovery.recover`` keeps (M+1) d' (n+s)
 # shift weights; any beta >= 1.04 stays below it at every N' <= 2^53.
 MAX_SHIFT_LEVELS = 1024
 
-# Noiseless growth floor (see ``make_schedule``): with exact shift phases a
+# Noiseless growth floor (see ``_shift_ladder``): with exact shift phases a
 # level wraps only through a noiseless bin's own phase error E, and beta <=
 # 2^24 keeps that error 2^6 below a wrap for E up to 2^-32 cycles.
 NOISELESS_MAX_BETA = 2.0**24
@@ -83,50 +84,18 @@ def _frac_product(a, b):
     return frac_centered((p - np.rint(p)) + e)
 
 
-@dataclass(frozen=True)
-class RecoverySchedule:
-    """Derived parameters for one outer iteration."""
-
-    p: int
-    tau: float
-    M: int
-    eps0: float
-    beta: float
-    delta: float
-    shifts: np.ndarray  # eps_a = beta^a * eps0 for a = 0..M
-
-
 def make_schedule(
-    s_star: int,
-    sigma: float,
-    a_min: float,
-    c1: float,
-    c_sigma: float,
-    beta: float,
-    n_eff: int,
-) -> RecoverySchedule:
-    """Compute (p, tau, M, eps0, delta, shift ladder) for sparsity budget s*.
+    s_star: int, sigma: float, a_min: float, c1: float, c_sigma: float, beta: float
+) -> tuple[int, float]:
+    """Sample length p and collision threshold tau for sparsity budget s*.
 
-    p is the first prime >= max{c1 s*, (beta(beta+1) a_min c_sigma sigma / pi)^2};
-    the second operand keeps the per-level phase error below the admissible
-    delta = 1/(2 beta + 2), and M = floor(log_beta N') + 1
-    levels suffice to drive the reconstruction error under 1/2.
-
-    At sigma = 0 there is no noise to absorb, only float64 error. The shift
-    phases w' eps_a are reduced mod 1 exactly (``_frac_product``), by the
-    sampler and by ``reconstruct_entry`` alike, so level a's phase is off
-    only by the error E of the FFT and ``np.angle`` on a noiseless bin. The
-    running estimate is then within 2E/eps_{a-1} of w' (rounding it to
-    float64 at most doubles its error, as w' is a float64 integer), and
-    level a does not wrap while (2 beta + 1) E stays below 1/2. beta <= 2^24
-    holds that bound 2^6 times over for E up to 2^-32 cycles, so ``beta``
-    is floored at 2^24: the ladder has one level below N' = 2^24, two below
-    2^48 and three up to the 2^53 cap. It depends only on N', beta and
-    whether sigma is 0, so it is the same for every s*.
-    Every input but N' (``UnwrapMap`` derives it) is checked here, and an M
-    above ``MAX_SHIFT_LEVELS`` at the given beta or a p above
-    ``MAX_SAMPLE_LENGTH`` raises ValueError before any array is built or
-    any prime is searched.
+    p is the first prime >= max{c1 s*, (beta(beta+1) c_sigma sigma / (pi a_min))^2};
+    the second operand keeps the per-level phase error of a mode with
+    |a_j| >= a_min below the admissible delta = 1/(2 beta + 2), and
+    tau = c_sigma sigma / (a_min sqrt(p)), floored at ``TAU_FLOOR``.
+    Every input is checked here, beta and sigma for ``_shift_ladder`` too,
+    and a p above ``MAX_SAMPLE_LENGTH`` raises ValueError before any prime
+    is searched. Returns (p, tau).
     """
     if s_star < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {s_star}")
@@ -140,6 +109,35 @@ def make_schedule(
         raise ValueError(f"c1 must be finite and >= 1, got {c1!r}")
     if not (_is_real(c_sigma) and math.isfinite(c_sigma) and c_sigma > 0):
         raise ValueError(f"c_sigma must be finite and > 0, got {c_sigma!r}")
+    amplitude = beta * (beta + 1) * c_sigma * sigma / (math.pi * a_min)
+    # Past 2^32 the square is far above the cap, and ** 2 could overflow.
+    length = max(c1 * s_star, math.inf if amplitude > 2**32 else amplitude**2)
+    if length > MAX_SAMPLE_LENGTH:
+        raise ValueError(f"sample length {length:.6g} exceeds the cap of {MAX_SAMPLE_LENGTH}")
+    p = next_prime_at_least(length)
+    return p, max(c_sigma * sigma / (a_min * math.sqrt(p)), TAU_FLOOR)
+
+
+def _shift_ladder(n_eff: int, beta: float, sigma: float) -> np.ndarray:
+    """The run's shift ladder eps_a = beta^a eps0 for a = 0..M, read-only.
+
+    eps0 = 1/(2 N'), and M = floor(log_beta N') + 1 levels drive the
+    reconstruction error under 1/2, at any sparsity budget s*.
+
+    At sigma = 0 there is no noise to absorb, only float64 error. The shift
+    phases w' eps_a are reduced mod 1 exactly (``_frac_product``), by the
+    sampler and by ``reconstruct_entry`` alike, so level a's phase is off
+    only by the error E of the FFT and ``np.angle`` on a noiseless bin. The
+    running estimate is then within 2E/eps_{a-1} of w' (rounding it to
+    float64 at most doubles its error, as w' is a float64 integer), and
+    level a does not wrap while (2 beta + 1) E stays below 1/2. beta <= 2^24
+    holds that bound 2^6 times over for E up to 2^-32 cycles, so ``beta``
+    is floored at 2^24: the ladder has one level below N' = 2^24, two below
+    2^48 and three up to the 2^53 cap.
+    beta and sigma come checked by ``make_schedule``; an M above
+    ``MAX_SHIFT_LEVELS`` at the given beta raises ValueError before any
+    array is built.
+    """
     M = math.floor(math.log(n_eff, beta)) + 1
     if M > MAX_SHIFT_LEVELS:
         raise ValueError(
@@ -149,18 +147,9 @@ def make_schedule(
     if sigma == 0:
         beta = max(beta, NOISELESS_MAX_BETA)
         M = math.floor(math.log(n_eff, beta)) + 1
-
-    amplitude = beta * (beta + 1) * a_min * c_sigma * sigma / math.pi
-    # Past 2^32 the square is far above the cap, and ** 2 could overflow.
-    length = max(c1 * s_star, math.inf if amplitude > 2**32 else amplitude**2)
-    if length > MAX_SAMPLE_LENGTH:
-        raise ValueError(f"sample length {length:.6g} exceeds the cap of {MAX_SAMPLE_LENGTH}")
-    p = next_prime_at_least(length)
-    tau = max(c_sigma * sigma / (a_min * math.sqrt(p)), TAU_FLOOR)
-    eps0 = 1.0 / (2 * n_eff)
-    delta = 1.0 / (2 * beta + 2)
-    shifts = eps0 * beta ** np.arange(M + 1, dtype=np.float64)
-    return RecoverySchedule(p=p, tau=tau, M=M, eps0=eps0, beta=beta, delta=delta, shifts=shifts)
+    shifts = 1.0 / (2 * n_eff) * beta ** np.arange(M + 1, dtype=np.float64)
+    shifts.flags.writeable = False
+    return shifts
 
 
 def shift_ratio(F_unshifted, F_shifted, tau: float):
@@ -209,11 +198,6 @@ def reconstruct_entry(shifts, phases):
         step = np.rint(t)
         whole, part = whole + step, t - step
     return whole + part
-
-
-def finalize_entry(w_est):
-    """Nearest integer (int64), ties rounded half away from zero."""
-    return np.copysign(np.floor(np.abs(w_est) + 0.5), w_est).astype(np.int64)
 
 
 def estimate_coefficient(F_unshifted_bin, p: int):

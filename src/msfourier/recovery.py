@@ -5,6 +5,8 @@ axis k~, ranks the s* largest DFT bins of a prime-length sample vector,
 then refines a d'-entry frequency estimate per bin through the multiscale
 shift ladder: at each level one shifted/unshifted bin ratio gives both the
 entry's phase and the bin's collision vote (``estimator.shift_ratio``).
+The ladder is the run's (``RecoveryConfig.shifts``); only p and tau follow
+the remaining sparsity s* (``RecoveryConfig.schedule``).
 Accepted modes are subtracted from all later samples; the loop ends when
 s modes are found or the iteration budget runs out (the all-axes-collision
 case this library does not attempt to untangle).
@@ -20,9 +22,8 @@ import numpy as np
 
 from .dft import dft_forward, top_bins
 from .estimator import (
-    RecoverySchedule,
+    _shift_ladder,
     estimate_coefficient,
-    finalize_entry,
     make_schedule,
     reconstruct_entry,
     shift_ratio,
@@ -42,7 +43,8 @@ _MAX_EXACT_BANDWIDTH = 2**53
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Run parameters; defaults follow the standard benchmark setup. The
-    config builds the run's unwrap geometry ``umap`` and owns its schedules."""
+    config builds the run's unwrap geometry ``umap`` and shift ladder
+    ``shifts``, and gives each outer iteration's (p, tau)."""
 
     N: int
     d: int
@@ -57,6 +59,7 @@ class RecoveryConfig:
     seed: int = 0
     max_outer_iterations: int | None = None  # None -> 10 * d'
     umap: UnwrapMap = field(init=False, repr=False, compare=False)
+    shifts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("s", "seed", "max_outer_iterations"):
@@ -82,13 +85,12 @@ class RecoveryConfig:
             raise ValueError(f"s={self.s} exceeds the {self.N}^{self.d} frequency cube")
         # Checks s, sigma, a_min, c1, c_sigma and beta, and the largest p: p only falls with s*.
         self.schedule(self.s)
+        # Checks the ladder's level count at the configured beta.
+        object.__setattr__(self, "shifts", _shift_ladder(umap.eff_bandwidth, self.beta, self.sigma))
 
-    def schedule(self, s_star: int) -> RecoverySchedule:
-        """The schedule of an outer iteration with sparsity budget ``s_star``."""
-        return make_schedule(
-            s_star, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta,
-            self.umap.eff_bandwidth,
-        )
+    def schedule(self, s_star: int) -> tuple[int, float]:
+        """(p, tau) of an outer iteration with sparsity budget ``s_star``."""
+        return make_schedule(s_star, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta)
 
 
 @dataclass
@@ -136,13 +138,13 @@ def recover(
 
     # The residual: the truth's unwrapped rows, then each found mode's row
     # with its coefficient negated, in the order the modes were found. The
-    # shift ladder is the same in every iteration, so each row's weights
+    # run's shift ladder serves every iteration, so each row's weights
     # (level, shift axis, row) are computed once, when the row joins; the
     # array has room for s found rows, (M+1) d' (n_truth+s) 16 bytes.
     n_truth = len(truth)
     freqs_all = unwrap_freq(truth.freqs, umap)
     coeffs_all = truth.coeffs
-    shifts = config.schedule(config.s).shifts
+    shifts = config.shifts
     M = len(shifts) - 1
     weights = np.empty((len(shifts), d_red, n_truth + config.s), dtype=np.complex128)
     sample_seconds = _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
@@ -162,8 +164,7 @@ def recover(
 
     while n_found < config.s and i < max_outer:
         s_star = config.s - n_found
-        sched = config.schedule(s_star)
-        p = sched.p
+        p, tau = config.schedule(s_star)
         n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1
 
@@ -182,9 +183,9 @@ def recover(
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
         for alpha in range(M + 1):
             block = np.array([draw(w) for w in weights[alpha, :, :n_rows]])
-            passed, phases[alpha] = shift_ratio(Fu, dft_forward(block)[:, bins], sched.tau)
+            passed, phases[alpha] = shift_ratio(Fu, dft_forward(block)[:, bins], tau)
             votes += ~passed.all(axis=0)
-        final = finalize_entry(reconstruct_entry(shifts, phases))
+        final = np.rint(reconstruct_entry(shifts, phases)).astype(np.int64)
         # An entry outside [lo, hi] is not an unwrapped frequency: junk. A
         # single mode in bin m has w'[k~] = m mod p; an entry that does not
         # comes from several modes merged in one bin.

@@ -15,7 +15,6 @@ from msfourier.dft import dft_forward, next_prime_at_least
 from msfourier.estimator import (
     estimate_coefficient,
     frac_centered,
-    make_schedule,
     reconstruct_entry,
 )
 from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
@@ -68,8 +67,8 @@ def test_criterion_2_coefficient_error_bound(heavy_noise_runs):
     # bound uses the first outer iteration's p (the CSV-reported schedule)
     total, within = 0, 0
     for s, per in heavy_noise_runs.items():
-        sched = make_schedule(s, SIGMA, 1.0, 2.0, 6.0, 2.5, N_EFF_D100)
-        bound = 6 * SIGMA / math.sqrt(sched.p)
+        p, _ = RecoveryConfig(N=20, d=100, d1=5, s=s, sigma=SIGMA).schedule(s)
+        bound = 6 * SIGMA / math.sqrt(p)
         for truth, result, _, _ in per:
             want = {m.freq: m.coeff for m in truth.modes}
             for mode in result.modes.modes:
@@ -106,15 +105,17 @@ def test_criterion_2_coefficient_error_bound(heavy_noise_runs):
 def test_criterion_3_multiscale_reconstruction_bound():
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
-    sched = make_schedule(256, SIGMA, 1.0, 2.0, 6.0, 2.5, N_EFF_D100)
-    bound = sched.delta / sched.eps0 * sched.beta ** -sched.M
+    cfg = RecoveryConfig(N=20, d=100, d1=5, s=256, sigma=SIGMA)
+    shifts, beta, M = cfg.shifts, cfg.beta, len(cfg.shifts) - 1
+    delta = 1 / (2 * beta + 2)
+    bound = delta / shifts[0] * beta**-M
     half = N_EFF_D100 // 2
     worst = 0.0
     for _ in range(1000):
         w = int(rng.integers(-half, half + 1))
-        noise = rng.uniform(-sched.delta, sched.delta, size=sched.M + 1)
-        phases = frac_centered(sched.shifts * w + noise)
-        err = abs(reconstruct_entry(sched.shifts, phases) - w)
+        noise = rng.uniform(-delta, delta, size=M + 1)
+        phases = frac_centered(shifts * w + noise)
+        err = abs(reconstruct_entry(shifts, phases) - w)
         worst = max(worst, err)
         assert err <= bound and err < 0.5
     elapsed = time.perf_counter() - t0

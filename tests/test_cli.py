@@ -246,11 +246,12 @@ def test_sweep_noiseless_errors_vanish(tmp_path):
 
 def test_sweep_trial_is_cmd_recover(tmp_path):
     # a sweep trial's row is cmd_recover's outcome on the same signal and
-    # noise seed, with p and M from the first outer iteration's schedule
+    # noise seed, with the first outer iteration's p and the run's top level M
     spec = sweep_spec(tmp_path)
     rows, _ = cmd_sweep(**spec)
     for vi, value in enumerate(spec["values"]):
-        sched = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value).schedule(2)
+        value_cfg = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value)
+        p, M = value_cfg.schedule(2)[0], len(value_cfg.shifts) - 1
         for trial in range(spec["trials"]):
             signal_seed, noise_seed = _trial_seeds(5, vi, trial)
             truth = random_spectrum(8, 2, 2, signal_seed)
@@ -261,7 +262,7 @@ def test_sweep_trial_is_cmd_recover(tmp_path):
             assert row["l1_error"] == outcome.report.l1_coeff_error
             assert row["exact_rate"] == outcome.report.exact_freq_rate
             assert row["samples"] == outcome.result.samples_used
-            assert (row["p"], row["M"]) == (sched.p, sched.M)
+            assert (row["p"], row["M"]) == (p, M)
 
 
 def test_cli_sets_every_shared_option(tmp_path):

@@ -136,3 +136,7 @@ def test_top_bins_two_mode_signal():
 def test_top_bins_count_guard():
     with pytest.raises(ValueError):
         top_bins(np.ones(4, dtype=complex), 5)
+    # a negative count would slice from the end and return bins silently
+    with pytest.raises(ValueError, match="count"):
+        top_bins(np.arange(5.0), -2)
+    assert len(top_bins(np.arange(5.0), 0)) == 0

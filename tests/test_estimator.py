@@ -11,8 +11,8 @@ from msfourier.estimator import (
     MAX_SHIFT_LEVELS,
     NOISELESS_MAX_BETA,
     _frac_product,
+    _shift_ladder,
     estimate_coefficient,
-    finalize_entry,
     frac_centered,
     make_schedule,
     reconstruct_entry,
@@ -24,68 +24,50 @@ from msfourier.unwrap import UnwrapMap, unwrap_freq
 
 class TestSchedule:
     def test_benchmark_scale_values(self):
-        sched = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5, 3368421)
-        assert sched.p == 521  # max{512, 73.2} -> first prime >= 512
-        assert sched.M == 17
-        assert sched.tau == pytest.approx(6 * 0.512 / math.sqrt(521))
-        assert sched.eps0 == pytest.approx(1 / (2 * 3368421))
-        assert sched.delta == pytest.approx(1 / 7)  # 1/(2*2.5+2)
-        assert len(sched.shifts) == sched.M + 1
-        assert np.all(np.diff(sched.shifts) > 0)
-        np.testing.assert_allclose(sched.shifts, sched.eps0 * 2.5 ** np.arange(18))
+        p, tau = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5)
+        assert p == 521  # max{512, 73.2} -> first prime >= 512
+        assert tau == pytest.approx(6 * 0.512 / math.sqrt(521))
+        shifts = _shift_ladder(3368421, 2.5, 0.512)
+        assert len(shifts) == 18  # M = floor(log_2.5 N') + 1 = 17
+        assert shifts[0] == 1 / (2 * 3368421)
+        assert np.all(np.diff(shifts) > 0)
+        np.testing.assert_allclose(shifts, shifts[0] * 2.5 ** np.arange(18))
 
     def test_noiseless_schedule(self):
-        sched = make_schedule(4, 0.0, 1.0, 2.0, 6.0, 2.5, 3368421)
-        assert sched.p == 11  # first prime >= 2*4
-        assert sched.tau == 1e-9  # floor replaces the exact zero
+        p, tau = make_schedule(4, 0.0, 1.0, 2.0, 6.0, 2.5)
+        assert p == 11  # first prime >= 2*4
+        assert tau == 1e-9  # floor replaces the exact zero
 
     def test_noise_floor_dominates(self):
         # c1 s* = 32 < 73.2 -> p from the noise term
-        sched = make_schedule(16, 0.512, 1.0, 2.0, 6.0, 2.5, 3368421)
-        assert sched.p == 79
+        assert make_schedule(16, 0.512, 1.0, 2.0, 6.0, 2.5)[0] == 79
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_schedule(0, 0.1, 1.0, 2.0, 6.0, 2.5, 99)
+            make_schedule(0, 0.1, 1.0, 2.0, 6.0, 2.5)
         with pytest.raises(ValueError):
-            make_schedule(4, 0.1, 1.0, 2.0, 6.0, 1.0, 99)  # beta must exceed 1
+            make_schedule(4, 0.1, 1.0, 2.0, 6.0, 1.0)  # beta must exceed 1
         with pytest.raises(ValueError):
-            make_schedule(4, -0.1, 1.0, 2.0, 6.0, 2.5, 99)
+            make_schedule(4, -0.1, 1.0, 2.0, 6.0, 2.5)
         with pytest.raises(ValueError):
-            make_schedule(4, 0.1, 0.0, 2.0, 6.0, 2.5, 99)
+            make_schedule(4, 0.1, 0.0, 2.0, 6.0, 2.5)
         for beta in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="beta"):
-                make_schedule(4, 0.1, 1.0, 2.0, 6.0, beta, 99)
+                make_schedule(4, 0.1, 1.0, 2.0, 6.0, beta)
         with pytest.raises(ValueError, match="sigma"):
-            make_schedule(4, float("nan"), 1.0, 2.0, 6.0, 2.5, 99)
+            make_schedule(4, float("nan"), 1.0, 2.0, 6.0, 2.5)
         for c1 in (float("nan"), 0.1):
             with pytest.raises(ValueError, match="c1"):
-                make_schedule(4, 0.1, 1.0, c1, 6.0, 2.5, 99)
+                make_schedule(4, 0.1, 1.0, c1, 6.0, 2.5)
         for c_sigma in (float("nan"), -1.0, 0.0):
             with pytest.raises(ValueError, match="c_sigma"):
-                make_schedule(4, 0.1, 1.0, 2.0, c_sigma, 2.5, 99)
-
-    def test_ladder_depends_only_on_bandwidth_and_beta(self):
-        # recover computes each residual row's shift weights once per run,
-        # so every outer iteration's schedule must carry the same ladder:
-        # one for sigma > 0 and one, floored at growth 2^24, for sigma = 0
-        for n_eff in (3368421, 215578947368421, 4311578947368421):  # N=20, d1=5, 11, 12
-            noisy = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5, n_eff)
-            noiseless = make_schedule(256, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
-            assert noiseless.beta == NOISELESS_MAX_BETA
-            for s_star in (1, 7, 255, 1024):
-                sched = make_schedule(s_star, 0.0, 1.0, 2.0, 6.0, 2.5, n_eff)
-                assert sched.shifts.tobytes() == noiseless.shifts.tobytes()
-                assert (sched.M, sched.beta) == (noiseless.M, noiseless.beta)
-                for sigma in (0.001, 0.512, 2.0):
-                    sched = make_schedule(s_star, sigma, 1.0, 2.0, 6.0, 2.5, n_eff)
-                    assert sched.shifts.tobytes() == noisy.shifts.tobytes()
-                    assert (sched.M, sched.beta) == (noisy.M, 2.5)
+                make_schedule(4, 0.1, 1.0, 2.0, c_sigma, 2.5)
 
     def test_noiseless_ladder_sized_by_float64_error(self):
         # at sigma = 0 the growth is at least 2^24 at every N', so the ladder
         # has one level below N' = 2^24, two below 2^48 and three up to the
-        # 2^53 cap; a wider configured beta is kept as it is
+        # 2^53 cap; a wider configured beta is kept as it is. At any sigma > 0
+        # the ladder grows by the configured beta.
         table = {  # N': (beta, M) at a configured 2.5, then at 2^30
             2**24 - 1: ((2**24, 1), (2**30, 1)),
             2**24: ((2**24, 2), (2**30, 1)),
@@ -93,15 +75,20 @@ class TestSchedule:
             2**46: ((2**24, 2), (2**30, 2)),
             2**48 + 1: ((2**24, 3), (2**30, 2)),
             2**53: ((2**24, 3), (2**30, 2)),
+            3368421: ((2**24, 1), (2**30, 1)),  # N=20 at d1=5, 11 and 12
+            215578947368421: ((2**24, 2), (2**30, 2)),
+            4311578947368421: ((2**24, 3), (2**30, 2)),
         }
         for n_eff, pinned in table.items():
             for configured, (beta, M) in zip((2.5, 2.0**30), pinned):
-                sched = make_schedule(8, 0.0, 1.0, 2.0, 6.0, configured, n_eff)
-                assert (sched.beta, sched.M) == (beta, M), n_eff
-                assert sched.delta == 1 / (2 * beta + 2)
-                np.testing.assert_array_equal(
-                    sched.shifts, sched.eps0 * float(beta) ** np.arange(M + 1)
-                )
+                shifts = _shift_ladder(n_eff, configured, 0.0)
+                assert len(shifts) == M + 1, n_eff
+                want = 1.0 / (2 * n_eff) * float(beta) ** np.arange(M + 1)
+                np.testing.assert_array_equal(shifts, want)
+                levels = math.floor(math.log(n_eff, configured)) + 2
+                want = 1.0 / (2 * n_eff) * configured ** np.arange(levels, dtype=np.float64)
+                for sigma in (0.001, 0.512, 2.0):
+                    assert _shift_ladder(n_eff, configured, sigma).tobytes() == want.tobytes()
 
     def test_overlong_ladder_refused(self):
         # beta near 1 asks for M = floor(log_beta N') + 1 levels: 15,038 at
@@ -109,15 +96,15 @@ class TestSchedule:
         # refused before any array is built
         for beta in (1.001, 1 + 1e-9):
             with pytest.raises(ValueError, match="shift levels"):
-                make_schedule(8, 0.0, 1.0, 2.0, 6.0, beta, 3368421)
+                _shift_ladder(3368421, beta, 0.0)
         # at sigma = 0 the configured beta is checked before it is widened;
         # at sigma > 0 it is the ladder's own
         n_eff = 3368421
         at_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS - 0.5))  # log_beta N' = cap - 1/2
-        assert make_schedule(8, 0.1, 1.0, 2.0, 6.0, at_cap, n_eff).M == MAX_SHIFT_LEVELS
+        assert len(_shift_ladder(n_eff, at_cap, 0.1)) == MAX_SHIFT_LEVELS + 1
         past_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS + 0.5))
         with pytest.raises(ValueError, match="shift levels"):
-            make_schedule(8, 0.0, 1.0, 2.0, 6.0, past_cap, n_eff)
+            _shift_ladder(n_eff, past_cap, 0.0)
 
 
 class TestCollisionTest:
@@ -248,16 +235,19 @@ class TestEntryEstimation:
             assert reconstruct_entry(shifts, phases) == pytest.approx(w, abs=1e-9)
 
     def test_reconstruct_bound_under_phase_noise(self):
-        # smaller sibling of the acceptance-suite reconstruction-bound check
+        # smaller sibling of the acceptance-suite reconstruction-bound check,
+        # on the noiseless ladder (growth 2^24)
         rng = np.random.default_rng(11)
-        sched = make_schedule(4, 0.0, 1.0, 2.0, 6.0, 2.5, 3368421)
-        bound = sched.delta / sched.eps0 * sched.beta ** -sched.M
+        shifts = _shift_ladder(3368421, 2.5, 0.0)
+        beta, M = NOISELESS_MAX_BETA, len(shifts) - 1
+        delta = 1 / (2 * beta + 2)
+        bound = delta / shifts[0] * beta**-M
         half = 3368421 // 2
         for _ in range(100):
             w = int(rng.integers(-half, half + 1))
-            noise = rng.uniform(-sched.delta, sched.delta, size=sched.M + 1)
-            phases = frac_centered(sched.shifts * w + noise)
-            est = reconstruct_entry(sched.shifts, phases)
+            noise = rng.uniform(-delta, delta, size=M + 1)
+            phases = frac_centered(shifts * w + noise)
+            est = reconstruct_entry(shifts, phases)
             assert abs(est - w) <= bound
             assert abs(est - w) < 0.5
 
@@ -295,7 +285,7 @@ class TestFracProduct:
         w = np.concatenate([[-(n_eff // 2), n_eff // 2, 0, 1],
                             rng.integers(-(n_eff // 2), n_eff // 2, 200)]).astype(np.float64)
         for sigma in (0.0, 0.512):
-            for eps in make_schedule(8, sigma, 1.0, 2.0, 6.0, 2.5, n_eff).shifts:
+            for eps in _shift_ladder(n_eff, 2.5, sigma):
                 got = _frac_product(w, eps)
                 assert np.all(self.cycles_apart(got, frac_product(w, eps)) <= 2.0**-53)
                 # the product is symmetric, as reconstruct_entry calls it
@@ -310,21 +300,14 @@ class TestFracProduct:
         rng = np.random.default_rng(23)
         w = np.concatenate([[-(n_eff // 2), n_eff // 2 - 1],
                             rng.integers(-(n_eff // 2), n_eff // 2, 2000)])
-        for sigma in (0.0, 0.512):
-            sched = make_schedule(8, sigma, 1.0, 2.0, 6.0, 2.5, n_eff)
-            edge = 0.99 * sched.delta
-            noise = rng.uniform(-edge, edge, (sched.M + 1, len(w)))
-            exact = frac_product(w.astype(np.float64), sched.shifts[:, None])
+        for sigma, beta in ((0.0, NOISELESS_MAX_BETA), (0.512, 2.5)):
+            shifts = _shift_ladder(n_eff, 2.5, sigma)
+            edge = 0.99 / (2 * beta + 2)
+            noise = rng.uniform(-edge, edge, (len(shifts), len(w)))
+            exact = frac_product(w.astype(np.float64), shifts[:, None])
             phases = frac_centered(exact + noise)
-            est = finalize_entry(reconstruct_entry(sched.shifts, phases))
+            est = np.rint(reconstruct_entry(shifts, phases)).astype(np.int64)
             np.testing.assert_array_equal(est, w)
-
-
-def test_finalize_entry():
-    assert finalize_entry(12344.7) == 12345
-    assert finalize_entry(-0.4) == 0
-    assert finalize_entry(2.5) == 3  # ties away from zero
-    assert finalize_entry(-2.5) == -3
 
 
 def test_votes_count_failing_levels():
@@ -435,25 +418,20 @@ class TestStackedCases:
 
     def test_reconstruct_entry(self):
         rng = np.random.default_rng(11)
-        sched = make_schedule(4, 0.0, 1.0, 2.0, 6.0, 2.5, 3368421)
+        shifts = _shift_ladder(3368421, 2.5, 0.0)
+        delta = 1 / (2 * NOISELESS_MAX_BETA + 2)
         half = 3368421 // 2
         w = rng.integers(-half, half + 1, size=(3, 40))
-        noise = rng.uniform(-sched.delta, sched.delta, size=(sched.M + 1, 3, 40))
-        phases = frac_centered(sched.shifts[:, None, None] * w + noise)
-        est = reconstruct_entry(sched.shifts, phases)
+        noise = rng.uniform(-delta, delta, size=(len(shifts), 3, 40))
+        phases = frac_centered(shifts[:, None, None] * w + noise)
+        est = reconstruct_entry(shifts, phases)
         assert est.shape == (3, 40)
         expected = [
-            [reconstruct_entry(sched.shifts, phases[:, k, j]) for j in range(40)]
+            [reconstruct_entry(shifts, phases[:, k, j]) for j in range(40)]
             for k in range(3)
         ]
         np.testing.assert_array_equal(est, expected)
-        np.testing.assert_array_equal(finalize_entry(est), w)
-
-    def test_finalize_entry(self):
-        cases = [12344.7, -0.4, 2.5, -2.5]
-        out = finalize_entry(np.array(cases))
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(out, [finalize_entry(x) for x in cases])
+        np.testing.assert_array_equal(np.rint(est), w)
 
     def test_estimate_coefficient(self):
         p = 11
