@@ -95,8 +95,8 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
     derived deterministically off the fixed config's seed. One aggregate
     row (trial="mean") per value holds arithmetic means; runtime columns
     are wall-clock and not reproducible. p is the first outer iteration's
-    sample length, and M the run's top shift level (``cfg.shifts`` has
-    M+1 levels).
+    sample length, and M the top level of that iteration's shift ladder
+    (``cfg.ladder(p)`` has M+1 levels).
     """
     if variable not in ("sigma", "sparsity"):
         raise ValueError(f"unknown sweep variable {variable!r}")
@@ -111,6 +111,7 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
     all_converged = True
     for vi, (value, cfg) in enumerate(zip(values, configs)):
         p, _ = cfg.schedule(cfg.s)
+        M = len(cfg.ladder(p)) - 1
         trial_rows = []
         for trial in range(trials):
             signal_seed, noise_seed = _trial_seeds(cfg.seed, vi, trial)
@@ -121,7 +122,7 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
                 variable, value, trial, signal_seed,
                 outcome.report.l1_coeff_error, outcome.report.exact_freq_rate,
                 outcome.result.samples_used, outcome.runtime_ms, outcome.sample_ms,
-                p, len(cfg.shifts) - 1,
+                p, M,
             ], strict=True)))
         # The mean row labels the columns through seed and averages the rest.
         mean = dict(zip(CSV_COLUMNS, [variable, value, "mean", ""]))
@@ -144,8 +145,11 @@ def _config_options(fn):
         click.option("--sigma", type=float, default=default["sigma"], show_default=True,
                      help="noise standard deviation"),
         click.option("--seed", type=int, default=default["seed"], show_default=True),
+        click.option("--a-min", "a_min", type=float, default=default["a_min"],
+                     show_default=True,
+                     help="smallest coefficient magnitude to recover; sets p and the shift growth"),
         click.option("--beta", type=float, default=default["beta"], show_default=True,
-                     help="shift growth factor; at sigma 0, floored at 2^24"),
+                     help="least shift growth factor; at sigma 0, floored at 2^24"),
         click.option("--c1", type=float, default=default["c1"], show_default=True,
                      help="sample-length multiple of sparsity"),
         click.option("--c-sigma", type=float, default=default["c_sigma"], show_default=True,

@@ -10,9 +10,13 @@ The same ratio's modulus tests the bin for a collision: a single mode
 keeps its magnitude under any shift, so ``shift_ratio`` gives each level's
 collision verdict and phase together.
 
-The ladder belongs to the run: ``RecoveryConfig`` builds it once
-(``_shift_ladder``). ``make_schedule`` gives what follows the remaining
-sparsity s* from one outer iteration to the next: p and tau.
+``make_schedule`` gives what follows the remaining sparsity s* from one
+outer iteration to the next: p and tau. ``RecoveryConfig`` builds the
+configured ladder once (``_shift_ladder``), with M levels of growth beta;
+at sigma > 0 each outer iteration climbs the shortest ladder its p admits
+(``_fitted_ladder``), since a longer p holds a level's phase error below
+the admissible delta at a larger growth. beta is then the floor on the
+growth, as 2^24 is at sigma = 0, and M the most levels any iteration uses.
 
 The estimator functions are array-native: each works elementwise on whole
 blocks of bins (shapes broadcast as numpy's do), and ``recovery.recover``
@@ -118,11 +122,19 @@ def make_schedule(
     return p, max(c_sigma * sigma / (a_min * math.sqrt(p)), TAU_FLOOR)
 
 
+def _geometric_ladder(n_eff: int, levels: int, growth: float) -> np.ndarray:
+    """eps_a = growth^a eps0 for a = 0..levels with eps0 = 1/(2 N'), read-only."""
+    shifts = 1.0 / (2 * n_eff) * growth ** np.arange(levels + 1, dtype=np.float64)
+    shifts.flags.writeable = False
+    return shifts
+
+
 def _shift_ladder(n_eff: int, beta: float, sigma: float) -> np.ndarray:
-    """The run's shift ladder eps_a = beta^a eps0 for a = 0..M, read-only.
+    """The run's configured shift ladder eps_a = beta^a eps0 for a = 0..M.
 
     eps0 = 1/(2 N'), and M = floor(log_beta N') + 1 levels drive the
-    reconstruction error under 1/2, at any sparsity budget s*.
+    reconstruction error under 1/2, at any sparsity budget s*. It is the
+    longest ladder any outer iteration uses (``_fitted_ladder``).
 
     At sigma = 0 there is no noise to absorb, only float64 error. The shift
     phases w' eps_a are reduced mod 1 exactly (``_frac_product``), by the
@@ -147,9 +159,35 @@ def _shift_ladder(n_eff: int, beta: float, sigma: float) -> np.ndarray:
     if sigma == 0:
         beta = max(beta, NOISELESS_MAX_BETA)
         M = math.floor(math.log(n_eff, beta)) + 1
-    shifts = 1.0 / (2 * n_eff) * beta ** np.arange(M + 1, dtype=np.float64)
-    shifts.flags.writeable = False
-    return shifts
+    return _geometric_ladder(n_eff, M, beta)
+
+
+def _fitted_ladder(
+    shifts: np.ndarray, n_eff: int, p: int, sigma: float, a_min: float, c_sigma: float
+) -> np.ndarray:
+    """The shortest ladder that sample length p admits, at most ``shifts``.
+
+    A level's phase error stays below the admissible delta = 1/(2 g + 2) of
+    growth g while p >= (g (g+1) c_sigma sigma / (pi a_min))^2, the noise
+    floor ``make_schedule`` puts under p at the configured beta. So p
+    admits any growth up to g* = (-1 + sqrt(1 + 4 r)) / 2 with
+    r = pi a_min sqrt(p) / (c_sigma sigma), and no more than 2^24, the
+    float64 bound of the noiseless ladder. The ladder has the fewest levels
+    M_p with N'^(1/M_p) <= g*, and grows by N'^(1/M_p), the least growth
+    that reaches N' in M_p levels. The configured ladder ``shifts`` is
+    the longest: where M_p reaches its level count, and at sigma = 0,
+    ``shifts`` itself is returned.
+    """
+    if sigma == 0:
+        return shifts
+    M = len(shifts) - 1
+    r = math.pi * a_min * math.sqrt(p) / (c_sigma * sigma)
+    growth = min((math.sqrt(1 + 4 * r) - 1) / 2, NOISELESS_MAX_BETA)
+    # Growth at or below 1 reaches N' in no number of levels.
+    levels = math.ceil(math.log(n_eff) / math.log(growth)) if growth > 1 else M
+    if levels >= M:
+        return shifts
+    return _geometric_ladder(n_eff, levels, n_eff ** (1 / levels))
 
 
 def shift_ratio(F_unshifted, F_shifted, tau: float):

@@ -5,8 +5,9 @@ axis k~, ranks the s* largest DFT bins of a prime-length sample vector,
 then refines a d'-entry frequency estimate per bin through the multiscale
 shift ladder: at each level one shifted/unshifted bin ratio gives both the
 entry's phase and the bin's collision vote (``estimator.shift_ratio``).
-The ladder is the run's (``RecoveryConfig.shifts``); only p and tau follow
-the remaining sparsity s* (``RecoveryConfig.schedule``).
+p and tau follow the remaining sparsity s* (``RecoveryConfig.schedule``),
+and the ladder follows p (``RecoveryConfig.ladder``): at sigma > 0 a
+longer p admits a faster-growing ladder with fewer levels.
 Accepted modes are subtracted from all later samples; the loop ends when
 s modes are found or the iteration budget runs out (the all-axes-collision
 case this library does not attempt to untangle).
@@ -22,6 +23,7 @@ import numpy as np
 
 from .dft import dft_forward, top_bins
 from .estimator import (
+    _fitted_ladder,
     _shift_ladder,
     estimate_coefficient,
     make_schedule,
@@ -43,8 +45,9 @@ _MAX_EXACT_BANDWIDTH = 2**53
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Run parameters; defaults follow the standard benchmark setup. The
-    config builds the run's unwrap geometry ``umap`` and shift ladder
-    ``shifts``, and gives each outer iteration's (p, tau)."""
+    config builds the run's unwrap geometry ``umap`` and configured shift
+    ladder ``shifts``, the longest any outer iteration climbs, and gives
+    each outer iteration's (p, tau) and ladder."""
 
     N: int
     d: int
@@ -85,12 +88,19 @@ class RecoveryConfig:
             raise ValueError(f"s={self.s} exceeds the {self.N}^{self.d} frequency cube")
         # Checks s, sigma, a_min, c1, c_sigma and beta, and the largest p: p only falls with s*.
         self.schedule(self.s)
-        # Checks the ladder's level count at the configured beta.
+        # Checks the configured ladder's level count at the configured beta.
         object.__setattr__(self, "shifts", _shift_ladder(umap.eff_bandwidth, self.beta, self.sigma))
 
     def schedule(self, s_star: int) -> tuple[int, float]:
         """(p, tau) of an outer iteration with sparsity budget ``s_star``."""
         return make_schedule(s_star, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta)
+
+    def ladder(self, p: int) -> np.ndarray:
+        """Shift ladder of an outer iteration with sample length ``p``: at
+        sigma > 0 the fewest levels p's SNR admits, else ``shifts``."""
+        return _fitted_ladder(
+            self.shifts, self.umap.eff_bandwidth, p, self.sigma, self.a_min, self.c_sigma
+        )
 
 
 @dataclass
@@ -137,17 +147,17 @@ def recover(
     max_outer = config.max_outer_iterations or 10 * d_red
 
     # The residual: the truth's unwrapped rows, then each found mode's row
-    # with its coefficient negated, in the order the modes were found. The
-    # run's shift ladder serves every iteration, so each row's weights
-    # (level, shift axis, row) are computed once, when the row joins; the
-    # array has room for s found rows, (M+1) d' (n_truth+s) 16 bytes.
+    # with its coefficient negated, in the order the modes were found. Each
+    # row's weights (level, shift axis, row) at the current ladder ``shifts``
+    # are computed once: every row when an iteration's ladder differs from
+    # the last one's, and a found row when it joins. The array has room for
+    # the configured ladder and s found rows, (M+1) d' (n_truth+s) 16 bytes.
     n_truth = len(truth)
     freqs_all = unwrap_freq(truth.freqs, umap)
     coeffs_all = truth.coeffs
-    shifts = config.shifts
-    M = len(shifts) - 1
-    weights = np.empty((len(shifts), d_red, n_truth + config.s), dtype=np.complex128)
-    sample_seconds = _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
+    weights = np.empty((len(config.shifts), d_red, n_truth + config.s), dtype=np.complex128)
+    shifts = config.shifts[:0]  # no rows weighed yet
+    sample_seconds = 0.0
     n_found = 0
     samples_used = 0
     streams = itertools.count()
@@ -167,6 +177,11 @@ def recover(
         p, tau = config.schedule(s_star)
         n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1
+        ladder = config.ladder(p)
+        if not np.array_equal(ladder, shifts):
+            shifts = ladder
+            sample_seconds += _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
+        M = len(shifts) - 1
 
         # Every vector of this iteration lies on the line along k~.
         index = line_index(freqs_all, k_tilde, p)

@@ -246,12 +246,15 @@ def test_sweep_noiseless_errors_vanish(tmp_path):
 
 def test_sweep_trial_is_cmd_recover(tmp_path):
     # a sweep trial's row is cmd_recover's outcome on the same signal and
-    # noise seed, with the first outer iteration's p and the run's top level M
+    # noise seed, with the first outer iteration's p and its ladder's top
+    # level M: at these sigmas p admits one level of the configured three
     spec = sweep_spec(tmp_path)
     rows, _ = cmd_sweep(**spec)
     for vi, value in enumerate(spec["values"]):
         value_cfg = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value)
-        p, M = value_cfg.schedule(2)[0], len(value_cfg.shifts) - 1
+        p = value_cfg.schedule(2)[0]
+        M = len(value_cfg.ladder(p)) - 1
+        assert (M, len(value_cfg.shifts) - 1) == (1, 3)
         for trial in range(spec["trials"]):
             signal_seed, noise_seed = _trial_seeds(5, vi, trial)
             truth = random_spectrum(8, 2, 2, signal_seed)
@@ -268,8 +271,8 @@ def test_sweep_trial_is_cmd_recover(tmp_path):
 def test_cli_sets_every_shared_option(tmp_path):
     # each shared option reaches RecoveryConfig under its field name; a
     # renamed parameter would fail only when the command runs
-    shared = ["--sigma", "0.001", "--seed", "3", "--beta", "3.0", "--c1", "3.0",
-              "--c-sigma", "5.0", "--eta", "0.3", "--max-outer", "40",
+    shared = ["--sigma", "0.001", "--seed", "3", "--a-min", "0.5", "--beta", "3.0",
+              "--c1", "3.0", "--c-sigma", "5.0", "--eta", "0.3", "--max-outer", "40",
               "--noise-kind", "real-only"]
     sig = tmp_path / "sig.txt"
     write_signal_file(random_spectrum(8, 2, 2, seed=1), sig)
@@ -279,6 +282,27 @@ def test_cli_sets_every_shared_option(tmp_path):
                    "--d", "2", "--trials", "2", "--out", str(tmp_path / "s.csv"), *shared)
     assert proc.returncode == 0, proc.stderr
 
+
+def test_cli_a_min_is_the_config_field(tmp_path):
+    # --a-min reaches RecoveryConfig.a_min: at sigma 0.5 a weaker stated
+    # mode needs a longer p, and the CLI draws what the library draws at that
+    # a_min; a value the schedule refuses gives one line and exit code 1
+    truth = random_spectrum(8, 2, 2, seed=1)
+    sig = tmp_path / "sig.txt"
+    write_signal_file(truth, sig)
+    proc = run_cli("recover", str(sig), "--d1", "1", "--sigma", "0.5", "--a-min", "0.5")
+    drawn = int(proc.stdout.split()[2])
+    cfg = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=0.5, a_min=0.5)
+    assert drawn == cmd_recover(truth, cfg).result.samples_used
+    assert drawn != cmd_recover(truth, replace(cfg, a_min=1.0)).result.samples_used
+    sweep = ["sweep", "--variable", "sparsity", "--values", "1,2", "--n", "8", "--d", "2",
+             "--trials", "1", "--out", str(tmp_path / "s.csv")]
+    for bad in ("0", "-1", "nan", "inf"):
+        for args in (["recover", str(sig), "--d1", "1"], sweep):
+            proc = run_cli(*args, "--a-min", bad)
+            assert proc.returncode == 1, (args[0], bad)
+            assert proc.stderr.count("\n") == 1 and "a_min must be finite" in proc.stderr
+    assert not (tmp_path / "s.csv").exists()
 
 @pytest.mark.parametrize(
     "values,message",
@@ -302,7 +326,8 @@ def test_shared_option_defaults_are_the_field_defaults(command):
     defaults["noise_kind"] = next(f.default for f in fields(NoiseModel) if f.name == "kind")
     shared = [p for p in cli.commands[command].params if p.name in defaults]
     assert sorted(p.name for p in shared) == [
-        "beta", "c1", "c_sigma", "eta", "max_outer_iterations", "noise_kind", "seed", "sigma",
+        "a_min", "beta", "c1", "c_sigma", "eta", "max_outer_iterations", "noise_kind", "seed",
+        "sigma",
     ]
     for param in shared:
         assert param.default == defaults[param.name], param.name

@@ -10,6 +10,7 @@ from msfourier.estimator import (
     DEAD_BIN,
     MAX_SHIFT_LEVELS,
     NOISELESS_MAX_BETA,
+    _fitted_ladder,
     _frac_product,
     _shift_ladder,
     estimate_coefficient,
@@ -105,6 +106,44 @@ class TestSchedule:
         past_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS + 0.5))
         with pytest.raises(ValueError, match="shift levels"):
             _shift_ladder(n_eff, past_cap, 0.0)
+
+    def test_fitted_ladder_is_the_shortest_p_admits(self):
+        # p admits growth up to g* = (sqrt(1 + 4r) - 1)/2 with
+        # r = pi a_min sqrt(p) / (c_sigma sigma); the fitted ladder has the
+        # fewest levels M_p whose growth N'^(1/M_p) stays within g*, and is
+        # the configured ladder itself once M_p reaches its 17 levels
+        n_eff, sigma = 3368421, 0.512
+        shifts = _shift_ladder(n_eff, 2.5, sigma)
+        fitted = _fitted_ladder(shifts, n_eff, 521, sigma, 1.0, 6.0)
+        assert len(fitted) == 12  # g* = 4.36 at the headline's first p
+        np.testing.assert_allclose(fitted, shifts[0] * n_eff ** (np.arange(12) / 11), rtol=1e-12)
+        assert not fitted.flags.writeable
+        seen = set()
+        for p in range(79, 3000, 2):
+            fitted = _fitted_ladder(shifts, n_eff, p, sigma, 1.0, 6.0)
+            M = len(fitted) - 1
+            seen.add(M)
+            if M == 17:
+                assert fitted is shifts, p
+                continue
+            r = math.pi * math.sqrt(p) / (6.0 * sigma)
+            top = (math.sqrt(1 + 4 * r) - 1) / 2
+            growth = fitted[1] / fitted[0]
+            assert 2.5 < growth <= top * (1 + 1e-12), p
+            assert n_eff ** (1 / (M - 1)) > top, p  # one level fewer grows too fast
+        assert seen == set(range(8, 18))
+        # sigma = 0 keeps the noiseless ladder at any p
+        noiseless = _shift_ladder(n_eff, 2.5, 0.0)
+        assert _fitted_ladder(noiseless, n_eff, 10**6 + 3, 0.0, 1.0, 6.0) is noiseless
+
+    def test_fitted_ladder_growth_stays_within_float64_bound(self):
+        # near N' = 2^52 a tiny sigma admits growth past 2^24, which float64
+        # phases do not survive: the growth stops at 2^24, three levels as at
+        # sigma = 0, not the two N'^(1/2) ~ 2^26 would give
+        n_eff = 4311578947368421
+        fitted = _fitted_ladder(_shift_ladder(n_eff, 2.5, 1e-15), n_eff, 521, 1e-15, 1.0, 6.0)
+        assert len(fitted) == 4
+        assert fitted[1] / fitted[0] <= NOISELESS_MAX_BETA
 
 
 class TestCollisionTest:

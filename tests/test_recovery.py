@@ -218,6 +218,18 @@ def test_deterministic_replay():
         )
 
 
+def record_ladders(monkeypatch):
+    """(p, ladder) of every ``RecoveryConfig.ladder`` call, in call order."""
+    calls = []
+
+    def recorded(self, p, _fn=RecoveryConfig.ladder):
+        calls.append((p, _fn(self, p)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(RecoveryConfig, "ladder", recorded)
+    return calls
+
+
 def test_recover_runs_the_estimator_functions(monkeypatch):
     # the estimator functions the tests check are the ones the peeling loop
     # calls: counting wrappers see every call and change no result
@@ -231,12 +243,12 @@ def test_recover_runs_the_estimator_functions(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(recovery, name, counted)
+    ladders = record_ladders(monkeypatch)
     res = recover(cfg, truth)
     assert res == plain and res.converged
-    outer = res.outer_iterations
-    assert calls["reconstruct_entry"] == outer
-    # one collision verdict and phase per shift level
-    assert calls["shift_ratio"] == len(cfg.shifts) * outer
+    assert calls["reconstruct_entry"] == res.outer_iterations == len(ladders)
+    # one collision verdict and phase per level of each iteration's ladder
+    assert calls["shift_ratio"] == sum(len(shifts) for _, shifts in ladders)
 
 
 def test_geometry_validation():
@@ -381,12 +393,69 @@ def test_runaway_sample_length_refused():
     RecoveryConfig(N=20, d=10, d1=5, s=MAX_SAMPLE_LENGTH, c1=1.0)
 
 
+# N=20, d=10, d1=5, s=128 at sigma=0.512: the first iteration's p=257
+# admits 12 shift levels, the last ones' p=79 only the configured 17
+LADDER_CHANGES = dict(N=20, d=10, d1=5, s=128, sigma=0.512, seed=7)
+
+
 def test_gather_calls_match_sample_accounting(monkeypatch):
     # one gather_unwrapped call per sample vector, each with its own plan:
     # the plans' lengths add up to samples_used, and every outer iteration
-    # gathers one unshifted and (M+1) d' shifted vectors
-    truth = random_spectrum(20, 10, 16, 3)
-    cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, seed=7)
+    # gathers one unshifted and (M+1) d' shifted vectors at its own ladder
+    truth = random_spectrum(20, 10, 128, 3)
+    cfg = RecoveryConfig(**LADDER_CHANGES)
+    lengths = []
+
+    def counted(index, weights, plan, noise, _fn=recovery.gather_unwrapped):
+        lengths.append(plan.p)
+        return _fn(index, weights, plan, noise)
+
+    monkeypatch.setattr(recovery, "gather_unwrapped", counted)
+    ladders = record_ladders(monkeypatch)
+    res = recover(cfg, truth)
+    assert res.converged and len(ladders) == res.outer_iterations > 1
+    assert len(ladders[0][1]) - 1 == 12 and len(ladders[-1][1]) - 1 == 17
+    assert sum(lengths) == res.samples_used
+    d_red = cfg.umap.reduced_dim
+    assert lengths == [p for p, shifts in ladders for _ in range(1 + d_red * len(shifts))]
+
+
+def test_shift_weights_once_per_row_and_level(monkeypatch):
+    # each residual row (truth rows and found rows) is weighed once per level
+    # of each ladder it serves: all rows when an iteration's ladder differs
+    # from the last one's, and a found row at the ladder it joins under
+    truth = random_spectrum(20, 10, 128, 3)
+    cfg = RecoveryConfig(**LADDER_CHANGES)
+    rows, starts = [], []
+
+    def counted(coeffs, freqs_t, eps, _fn=recovery.shift_weights):
+        assert freqs_t.shape[-1] == len(coeffs)
+        rows.append(len(coeffs))
+        return _fn(coeffs, freqs_t, eps)
+
+    def line(freqs, axis, p, _fn=recovery.line_index):
+        starts.append(len(freqs))  # the residual's rows as an iteration starts
+        return _fn(freqs, axis, p)
+
+    monkeypatch.setattr(recovery, "shift_weights", counted)
+    monkeypatch.setattr(recovery, "line_index", line)
+    calls = record_ladders(monkeypatch)
+    res = recover(cfg, truth)
+    ladders = [shifts for _, shifts in calls]
+    assert res.converged and len(ladders) == res.outer_iterations > 1
+    # a ladder serves the rows alive at the end of its last iteration in a row
+    ends = starts[1:] + [len(truth) + len(res.modes)]
+    changed = [not np.array_equal(a, b) for a, b in zip(ladders, ladders[1:])] + [True]
+    assert sum(changed) >= 2
+    assert sum(rows) == sum(len(a) * end for a, end, last in zip(ladders, ends, changed) if last)
+
+
+def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):
+    # at the headline size the first iteration's p = 521 admits growth 4.36
+    # and 11 levels, not the configured 17: it draws 1 + 20 * 12 vectors
+    truth = random_spectrum(20, 100, 256, 0)
+    cfg = RecoveryConfig(N=20, d=100, d1=5, s=256, sigma=0.512, seed=0)
+    assert len(cfg.shifts) - 1 == 17
     lengths = []
 
     def counted(index, weights, plan, noise, _fn=recovery.gather_unwrapped):
@@ -395,32 +464,32 @@ def test_gather_calls_match_sample_accounting(monkeypatch):
 
     monkeypatch.setattr(recovery, "gather_unwrapped", counted)
     res = recover(cfg, truth)
-    assert res.converged and res.outer_iterations > 1
+    first = 1 + 20 * 12
+    assert lengths[:first] == [521] * first and lengths[first] != 521
     assert sum(lengths) == res.samples_used
-    umap = UnwrapMap(bandwidth=20, dim=10, block=5)
-    levels = len(_shift_ladder(umap.eff_bandwidth, cfg.beta, cfg.sigma))
-    per_iteration = levels * umap.reduced_dim + 1
-    assert len(lengths) == res.outer_iterations * per_iteration
 
 
-def test_shift_weights_once_per_row_and_level(monkeypatch):
-    # the shift ladder is the same in every outer iteration, so each residual
-    # row (truth rows and found rows) is weighed once per level per recovery
-    truth = random_spectrum(20, 10, 16, 3)
-    cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, seed=7)
-    rows = []
+def test_headline_samples_per_sd():
+    # the fitted ladders keep the headline size exact at no more than
+    # 11.5 s d samples; the configured ladder at every iteration draws
+    # 12.1 to 14.2 s d on these seeds
+    for seed in range(4):
+        truth = random_spectrum(20, 100, 256, seed)
+        res = recover(RecoveryConfig(N=20, d=100, d1=5, s=256, sigma=0.512, seed=seed), truth)
+        assert res.converged and compare(truth, res.modes).exact_freq_rate == 1.0, seed
+        assert res.samples_used <= 11.5 * 256 * 100, (seed, res.samples_used)
 
-    def counted(coeffs, freqs_t, eps, _fn=recovery.shift_weights):
-        assert freqs_t.shape[-1] == len(coeffs)
-        rows.append(len(coeffs))
-        return _fn(coeffs, freqs_t, eps)
 
-    monkeypatch.setattr(recovery, "shift_weights", counted)
+def test_noiseless_iterations_climb_the_configured_ladder(monkeypatch):
+    # at sigma = 0 no p changes the ladder: every iteration climbs config.shifts
+    truth = random_spectrum(20, 20, 64, 5)
+    cfg = RecoveryConfig(N=20, d=20, d1=5, s=64, seed=5)
+    ladders = record_ladders(monkeypatch)
     res = recover(cfg, truth)
-    assert res.converged and res.outer_iterations > 1
-    umap = UnwrapMap(bandwidth=20, dim=10, block=5)
-    levels = len(_shift_ladder(umap.eff_bandwidth, cfg.beta, cfg.sigma))
-    assert sum(rows) == levels * (len(truth) + len(res.modes))
+    assert res.converged and len(ladders) == res.outer_iterations > 1
+    assert all(shifts is cfg.shifts for _, shifts in ladders)
+    for p in (2, 131, 10**6 + 3):
+        assert cfg.ladder(p) is cfg.shifts
 
 
 def test_bandwidth_limit_for_exact_recovery():
