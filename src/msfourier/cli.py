@@ -149,7 +149,7 @@ def _config_options(fn):
                      show_default=True,
                      help="smallest coefficient magnitude to recover; sets p and the shift growth"),
         click.option("--beta", type=float, default=default["beta"], show_default=True,
-                     help="least shift growth factor; at sigma 0, floored at 2^24"),
+                     help="least shift growth factor; p's SNR may admit more, up to 2^24"),
         click.option("--c1", type=float, default=default["c1"], show_default=True,
                      help="sample-length multiple of sparsity"),
         click.option("--c-sigma", type=float, default=default["c_sigma"], show_default=True,

@@ -11,12 +11,11 @@ keeps its magnitude under any shift, so ``shift_ratio`` gives each level's
 collision verdict and phase together.
 
 ``make_schedule`` gives what follows the remaining sparsity s* from one
-outer iteration to the next: p and tau. ``RecoveryConfig`` builds the
-configured ladder once (``_shift_ladder``), with M levels of growth beta;
-at sigma > 0 each outer iteration climbs the shortest ladder its p admits
-(``_fitted_ladder``), since a longer p holds a level's phase error below
-the admissible delta at a larger growth. beta is then the floor on the
-growth, as 2^24 is at sigma = 0, and M the most levels any iteration uses.
+outer iteration to the next: p and tau. The shift ladder follows p
+(``_ladder``): a longer p holds a level's phase error below the
+admissible delta at a larger growth, so its ladder has fewer levels.
+beta is the floor on the growth, and 2^24, the float64 bound that alone
+sizes a noiseless ladder, its cap.
 
 The estimator functions are array-native: each works elementwise on whole
 blocks of bins (shapes broadcast as numpy's do), and ``recovery.recover``
@@ -56,9 +55,9 @@ MAX_SAMPLE_LENGTH = 2**26 - 5
 # shift weights; any beta >= 1.04 stays below it at every N' <= 2^53.
 MAX_SHIFT_LEVELS = 1024
 
-# Noiseless growth floor (see ``_shift_ladder``): with exact shift phases a
-# level wraps only through a noiseless bin's own phase error E, and beta <=
-# 2^24 keeps that error 2^6 below a wrap for E up to 2^-32 cycles.
+# Largest ladder growth float64 admits (see ``_ladder``): with exact shift
+# phases a level wraps only through a noiseless bin's own phase error E, and
+# growth <= 2^24 keeps that error 2^6 below a wrap for E up to 2^-32 cycles.
 NOISELESS_MAX_BETA = 2.0**24
 
 
@@ -97,9 +96,9 @@ def make_schedule(
     the second operand keeps the per-level phase error of a mode with
     |a_j| >= a_min below the admissible delta = 1/(2 beta + 2), and
     tau = c_sigma sigma / (a_min sqrt(p)), floored at ``TAU_FLOOR``.
-    Every input is checked here, beta and sigma for ``_shift_ladder`` too,
-    and a p above ``MAX_SAMPLE_LENGTH`` raises ValueError before any prime
-    is searched. Returns (p, tau).
+    Every input is checked here, for ``_ladder`` too, and a p above
+    ``MAX_SAMPLE_LENGTH`` raises ValueError before any prime is searched.
+    Returns (p, tau).
     """
     if s_star < 1:
         raise ValueError(f"sparsity budget must be >= 1, got {s_star}")
@@ -122,72 +121,50 @@ def make_schedule(
     return p, max(c_sigma * sigma / (a_min * math.sqrt(p)), TAU_FLOOR)
 
 
-def _geometric_ladder(n_eff: int, levels: int, growth: float) -> np.ndarray:
-    """eps_a = growth^a eps0 for a = 0..levels with eps0 = 1/(2 N'), read-only."""
-    shifts = 1.0 / (2 * n_eff) * growth ** np.arange(levels + 1, dtype=np.float64)
-    shifts.flags.writeable = False
-    return shifts
+def _ladder(
+    n_eff: int, p: int, sigma: float, a_min: float, c_sigma: float, beta: float
+) -> np.ndarray:
+    """Shift ladder eps_a = g^a eps0, a = 0..M, of an outer iteration with sample length p.
 
+    eps0 = 1/(2 N'), and the top shift g^M eps0 >= 1/2 drives the
+    reconstruction error under 1/2. A level's phase error stays below the
+    admissible delta = 1/(2 g + 2) while p >= (g (g+1) c_sigma sigma /
+    (pi a_min))^2, the noise floor ``make_schedule`` puts under p at
+    g = beta. So p admits any growth up to g* = (sqrt(1 + 4 r) - 1) / 2
+    with r = pi a_min sqrt(p) / (c_sigma sigma), infinite at sigma = 0.
 
-def _shift_ladder(n_eff: int, beta: float, sigma: float) -> np.ndarray:
-    """The run's configured shift ladder eps_a = beta^a eps0 for a = 0..M.
-
-    eps0 = 1/(2 N'), and M = floor(log_beta N') + 1 levels drive the
-    reconstruction error under 1/2, at any sparsity budget s*. It is the
-    longest ladder any outer iteration uses (``_fitted_ladder``).
-
-    At sigma = 0 there is no noise to absorb, only float64 error. The shift
-    phases w' eps_a are reduced mod 1 exactly (``_frac_product``), by the
-    sampler and by ``reconstruct_entry`` alike, so level a's phase is off
-    only by the error E of the FFT and ``np.angle`` on a noiseless bin. The
+    Nor does float64 admit more than 2^24. The shift phases w' eps_a are
+    reduced mod 1 exactly (``_frac_product``), by the sampler and by
+    ``reconstruct_entry`` alike, so at sigma = 0 level a's phase is off only
+    by the error E of the FFT and ``np.angle`` on a noiseless bin. The
     running estimate is then within 2E/eps_{a-1} of w' (rounding it to
     float64 at most doubles its error, as w' is a float64 integer), and
-    level a does not wrap while (2 beta + 1) E stays below 1/2. beta <= 2^24
-    holds that bound 2^6 times over for E up to 2^-32 cycles, so ``beta``
-    is floored at 2^24: the ladder has one level below N' = 2^24, two below
-    2^48 and three up to the 2^53 cap.
-    beta and sigma come checked by ``make_schedule``; an M above
-    ``MAX_SHIFT_LEVELS`` at the given beta raises ValueError before any
-    array is built.
+    level a does not wrap while (2 g + 1) E stays below 1/2, which g <= 2^24
+    holds 2^6 times over for E up to 2^-32 cycles.
+
+    The admitted growth max(min(g*, 2^24), beta) sets the fewest levels
+    M = ceil(ln N' / ln g), and the ladder grows by max(N'^(1/M), beta):
+    the least growth that reaches N' in M levels, floored at beta. Noiseless
+    ladders have one level up to N' = 2^24, two up to 2^48 and three up to
+    the 2^53 cap. beta bounds every p's ladder by floor(log_beta N') + 1
+    levels; a bound above ``MAX_SHIFT_LEVELS`` raises ValueError before any
+    array is built. The inputs come checked by ``make_schedule``; the
+    ladder is read-only.
     """
-    M = math.floor(math.log(n_eff, beta)) + 1
-    if M > MAX_SHIFT_LEVELS:
+    bound = math.floor(math.log(n_eff, beta)) + 1
+    if bound > MAX_SHIFT_LEVELS:
         raise ValueError(
-            f"beta={beta} needs {M} shift levels at N'={n_eff}, above the cap of "
+            f"beta={beta} needs {bound} shift levels at N'={n_eff}, above the cap of "
             f"{MAX_SHIFT_LEVELS}; use a larger beta"
         )
-    if sigma == 0:
-        beta = max(beta, NOISELESS_MAX_BETA)
-        M = math.floor(math.log(n_eff, beta)) + 1
-    return _geometric_ladder(n_eff, M, beta)
-
-
-def _fitted_ladder(
-    shifts: np.ndarray, n_eff: int, p: int, sigma: float, a_min: float, c_sigma: float
-) -> np.ndarray:
-    """The shortest ladder that sample length p admits, at most ``shifts``.
-
-    A level's phase error stays below the admissible delta = 1/(2 g + 2) of
-    growth g while p >= (g (g+1) c_sigma sigma / (pi a_min))^2, the noise
-    floor ``make_schedule`` puts under p at the configured beta. So p
-    admits any growth up to g* = (-1 + sqrt(1 + 4 r)) / 2 with
-    r = pi a_min sqrt(p) / (c_sigma sigma), and no more than 2^24, the
-    float64 bound of the noiseless ladder. The ladder has the fewest levels
-    M_p with N'^(1/M_p) <= g*, and grows by N'^(1/M_p), the least growth
-    that reaches N' in M_p levels. The configured ladder ``shifts`` is
-    the longest: where M_p reaches its level count, and at sigma = 0,
-    ``shifts`` itself is returned.
-    """
-    if sigma == 0:
-        return shifts
-    M = len(shifts) - 1
-    r = math.pi * a_min * math.sqrt(p) / (c_sigma * sigma)
-    growth = min((math.sqrt(1 + 4 * r) - 1) / 2, NOISELESS_MAX_BETA)
-    # Growth at or below 1 reaches N' in no number of levels.
-    levels = math.ceil(math.log(n_eff) / math.log(growth)) if growth > 1 else M
-    if levels >= M:
-        return shifts
-    return _geometric_ladder(n_eff, levels, n_eff ** (1 / levels))
+    noise = c_sigma * sigma
+    r = math.pi * a_min * math.sqrt(p) / noise if noise else math.inf
+    growth = max(min((math.sqrt(1 + 4 * r) - 1) / 2, NOISELESS_MAX_BETA), beta)
+    M = math.ceil(math.log(n_eff) / math.log(growth))
+    growth = max(n_eff ** (1 / M), beta)
+    shifts = 1.0 / (2 * n_eff) * growth ** np.arange(M + 1, dtype=np.float64)
+    shifts.flags.writeable = False
+    return shifts
 
 
 def shift_ratio(F_unshifted, F_shifted, tau: float):

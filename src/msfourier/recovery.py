@@ -23,8 +23,7 @@ import numpy as np
 
 from .dft import dft_forward, top_bins
 from .estimator import (
-    _fitted_ladder,
-    _shift_ladder,
+    _ladder,
     estimate_coefficient,
     make_schedule,
     reconstruct_entry,
@@ -45,9 +44,8 @@ _MAX_EXACT_BANDWIDTH = 2**53
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Run parameters; defaults follow the standard benchmark setup. The
-    config builds the run's unwrap geometry ``umap`` and configured shift
-    ladder ``shifts``, the longest any outer iteration climbs, and gives
-    each outer iteration's (p, tau) and ladder."""
+    config builds the run's unwrap geometry ``umap`` and gives each outer
+    iteration's (p, tau) and shift ladder."""
 
     N: int
     d: int
@@ -62,7 +60,6 @@ class RecoveryConfig:
     seed: int = 0
     max_outer_iterations: int | None = None  # None -> 10 * d'
     umap: UnwrapMap = field(init=False, repr=False, compare=False)
-    shifts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("s", "seed", "max_outer_iterations"):
@@ -86,21 +83,18 @@ class RecoveryConfig:
         # No signal has more modes than the N^d cube holds.
         if not _cube_holds(self.N, self.d, self.s):
             raise ValueError(f"s={self.s} exceeds the {self.N}^{self.d} frequency cube")
-        # Checks s, sigma, a_min, c1, c_sigma and beta, and the largest p: p only falls with s*.
-        self.schedule(self.s)
-        # Checks the configured ladder's level count at the configured beta.
-        object.__setattr__(self, "shifts", _shift_ladder(umap.eff_bandwidth, self.beta, self.sigma))
+        # Checks s, sigma, a_min, c1, c_sigma and beta, and the largest p (p
+        # only falls with s*), then the level cap that beta sets every ladder.
+        self.ladder(self.schedule(self.s)[0])
 
     def schedule(self, s_star: int) -> tuple[int, float]:
         """(p, tau) of an outer iteration with sparsity budget ``s_star``."""
         return make_schedule(s_star, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta)
 
     def ladder(self, p: int) -> np.ndarray:
-        """Shift ladder of an outer iteration with sample length ``p``: at
-        sigma > 0 the fewest levels p's SNR admits, else ``shifts``."""
-        return _fitted_ladder(
-            self.shifts, self.umap.eff_bandwidth, p, self.sigma, self.a_min, self.c_sigma
-        )
+        """Shift ladder of an outer iteration with sample length ``p``: the
+        fewest levels whose growth p's SNR admits, read-only."""
+        return _ladder(self.umap.eff_bandwidth, p, self.sigma, self.a_min, self.c_sigma, self.beta)
 
 
 @dataclass
@@ -151,12 +145,15 @@ def recover(
     # row's weights (level, shift axis, row) at the current ladder ``shifts``
     # are computed once: every row when an iteration's ladder differs from
     # the last one's, and a found row when it joins. The array has room for
-    # the configured ladder and s found rows, (M+1) d' (n_truth+s) 16 bytes.
+    # s found rows and the longest ladder any p climbs, the one p = 0 gets
+    # with growth at its floor: (M+1) d' (n_truth+s) 16 bytes.
     n_truth = len(truth)
     freqs_all = unwrap_freq(truth.freqs, umap)
     coeffs_all = truth.coeffs
-    weights = np.empty((len(config.shifts), d_red, n_truth + config.s), dtype=np.complex128)
-    shifts = config.shifts[:0]  # no rows weighed yet
+    longest = _ladder(
+        umap.eff_bandwidth, 0, config.sigma, config.a_min, config.c_sigma, config.beta
+    )
+    weights = np.empty((len(longest), d_red, n_truth + config.s), dtype=np.complex128)
     sample_seconds = 0.0
     n_found = 0
     samples_used = 0
@@ -178,7 +175,7 @@ def recover(
         n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1
         ladder = config.ladder(p)
-        if not np.array_equal(ladder, shifts):
+        if i == 0 or not np.array_equal(ladder, shifts):
             shifts = ladder
             sample_seconds += _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
         M = len(shifts) - 1

@@ -106,7 +106,9 @@ def test_criterion_3_multiscale_reconstruction_bound():
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     cfg = RecoveryConfig(N=20, d=100, d1=5, s=256, sigma=SIGMA)
-    shifts, beta, M = cfg.shifts, cfg.beta, len(cfg.shifts) - 1
+    # the longest ladder the run climbs, at its shortest p, grows by beta
+    shifts = cfg.ladder(cfg.schedule(1)[0])
+    beta, M = cfg.beta, len(shifts) - 1
     delta = 1 / (2 * beta + 2)
     bound = delta / shifts[0] * beta**-M
     half = N_EFF_D100 // 2

@@ -247,14 +247,15 @@ def test_sweep_noiseless_errors_vanish(tmp_path):
 def test_sweep_trial_is_cmd_recover(tmp_path):
     # a sweep trial's row is cmd_recover's outcome on the same signal and
     # noise seed, with the first outer iteration's p and its ladder's top
-    # level M: at these sigmas p admits one level of the configured three
+    # level M: at these sigmas p admits one level of the three at beta,
+    # the ladder p = 0 gets
     spec = sweep_spec(tmp_path)
     rows, _ = cmd_sweep(**spec)
     for vi, value in enumerate(spec["values"]):
         value_cfg = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value)
         p = value_cfg.schedule(2)[0]
         M = len(value_cfg.ladder(p)) - 1
-        assert (M, len(value_cfg.shifts) - 1) == (1, 3)
+        assert (M, len(value_cfg.ladder(0)) - 1) == (1, 3)
         for trial in range(spec["trials"]):
             signal_seed, noise_seed = _trial_seeds(5, vi, trial)
             truth = random_spectrum(8, 2, 2, signal_seed)

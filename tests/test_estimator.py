@@ -10,9 +10,8 @@ from msfourier.estimator import (
     DEAD_BIN,
     MAX_SHIFT_LEVELS,
     NOISELESS_MAX_BETA,
-    _fitted_ladder,
     _frac_product,
-    _shift_ladder,
+    _ladder,
     estimate_coefficient,
     frac_centered,
     make_schedule,
@@ -28,11 +27,15 @@ class TestSchedule:
         p, tau = make_schedule(256, 0.512, 1.0, 2.0, 6.0, 2.5)
         assert p == 521  # max{512, 73.2} -> first prime >= 512
         assert tau == pytest.approx(6 * 0.512 / math.sqrt(521))
-        shifts = _shift_ladder(3368421, 2.5, 0.512)
+        # at the noise floor's p = 79 the ladder grows by beta exactly:
+        # g* = 2.56 needs M = 17 levels, and N'^(1/17) = 2.42 is below 2.5
+        assert make_schedule(1, 0.512, 1.0, 2.0, 6.0, 2.5)[0] == 79
+        shifts = _ladder(3368421, 79, 0.512, 1.0, 6.0, 2.5)
         assert len(shifts) == 18  # M = floor(log_2.5 N') + 1 = 17
         assert shifts[0] == 1 / (2 * 3368421)
         assert np.all(np.diff(shifts) > 0)
-        np.testing.assert_allclose(shifts, shifts[0] * 2.5 ** np.arange(18))
+        want = 1.0 / (2 * 3368421) * 2.5 ** np.arange(18, dtype=np.float64)
+        assert shifts.tobytes() == want.tobytes()
 
     def test_noiseless_schedule(self):
         p, tau = make_schedule(4, 0.0, 1.0, 2.0, 6.0, 2.5)
@@ -65,66 +68,77 @@ class TestSchedule:
                 make_schedule(4, 0.1, 1.0, 2.0, c_sigma, 2.5)
 
     def test_noiseless_ladder_sized_by_float64_error(self):
-        # at sigma = 0 the growth is at least 2^24 at every N', so the ladder
-        # has one level below N' = 2^24, two below 2^48 and three up to the
-        # 2^53 cap; a wider configured beta is kept as it is. At any sigma > 0
-        # the ladder grows by the configured beta.
-        table = {  # N': (beta, M) at a configured 2.5, then at 2^30
-            2**24 - 1: ((2**24, 1), (2**30, 1)),
-            2**24: ((2**24, 2), (2**30, 1)),
-            2**24 + 1: ((2**24, 2), (2**30, 1)),
-            2**46: ((2**24, 2), (2**30, 2)),
-            2**48 + 1: ((2**24, 3), (2**30, 2)),
-            2**53: ((2**24, 3), (2**30, 2)),
-            3368421: ((2**24, 1), (2**30, 1)),  # N=20 at d1=5, 11 and 12
-            215578947368421: ((2**24, 2), (2**30, 2)),
-            4311578947368421: ((2**24, 3), (2**30, 2)),
+        # at sigma = 0 the growth may reach 2^24 at every N', so the ladder
+        # has one level up to N' = 2^24, two up to 2^48 and three up to the
+        # 2^53 cap, and grows by N'^(1/M); a wider beta is kept as it is. At
+        # p = 0 (no SNR to spare) every sigma > 0 grows by beta
+        table = {  # N': M at beta = 2.5, then at 2^30
+            2**24 - 1: (1, 1),
+            2**24: (1, 1),
+            2**24 + 1: (2, 1),
+            2**46: (2, 2),
+            2**48 + 1: (3, 2),
+            2**53: (3, 2),
+            3368421: (1, 1),  # N=20 at d1=5, 11 and 12
+            215578947368421: (2, 2),
+            4311578947368421: (3, 2),
         }
         for n_eff, pinned in table.items():
-            for configured, (beta, M) in zip((2.5, 2.0**30), pinned):
-                shifts = _shift_ladder(n_eff, configured, 0.0)
-                assert len(shifts) == M + 1, n_eff
-                want = 1.0 / (2 * n_eff) * float(beta) ** np.arange(M + 1)
-                np.testing.assert_array_equal(shifts, want)
-                levels = math.floor(math.log(n_eff, configured)) + 2
-                want = 1.0 / (2 * n_eff) * configured ** np.arange(levels, dtype=np.float64)
+            for beta, M in zip((2.5, 2.0**30), pinned):
+                for p in (0, 11, 10**6 + 3):
+                    shifts = _ladder(n_eff, p, 0.0, 1.0, 6.0, beta)
+                    assert len(shifts) == M + 1, n_eff
+                    growth = max(n_eff ** (1 / M), beta)
+                    assert growth <= max(NOISELESS_MAX_BETA, beta)
+                    want = 1.0 / (2 * n_eff) * growth ** np.arange(M + 1, dtype=np.float64)
+                    assert shifts.tobytes() == want.tobytes()
+                levels = math.floor(math.log(n_eff, beta)) + 2
+                want = 1.0 / (2 * n_eff) * beta ** np.arange(levels, dtype=np.float64)
                 for sigma in (0.001, 0.512, 2.0):
-                    assert _shift_ladder(n_eff, configured, sigma).tobytes() == want.tobytes()
+                    assert _ladder(n_eff, 0, sigma, 1.0, 6.0, beta).tobytes() == want.tobytes()
+        # the growth at 2^30 stays 2^30, not N'^(1/M)
+        assert _ladder(2**46, 11, 0.0, 1.0, 6.0, 2.0**30)[1] == 2.0**30 / 2**47
 
     def test_overlong_ladder_refused(self):
-        # beta near 1 asks for M = floor(log_beta N') + 1 levels: 15,038 at
-        # beta=1.001 and ~1.5e10 (a 120 GB ladder) at 1 + 1e-9; both are
-        # refused before any array is built
+        # beta near 1 bounds the ladder by floor(log_beta N') + 1 levels:
+        # 15,038 at beta=1.001 and ~1.5e10 (a 120 GB ladder) at 1 + 1e-9; both
+        # are refused before any array is built, at every p and sigma
         for beta in (1.001, 1 + 1e-9):
-            with pytest.raises(ValueError, match="shift levels"):
-                _shift_ladder(3368421, beta, 0.0)
-        # at sigma = 0 the configured beta is checked before it is widened;
-        # at sigma > 0 it is the ladder's own
+            for p, sigma in ((11, 0.0), (0, 0.1), (10**6 + 3, 0.1)):
+                with pytest.raises(ValueError, match="shift levels"):
+                    _ladder(3368421, p, sigma, 1.0, 6.0, beta)
+        # at sigma = 0 the bound is counted at beta, below the 2^24 growth
         n_eff = 3368421
         at_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS - 0.5))  # log_beta N' = cap - 1/2
-        assert len(_shift_ladder(n_eff, at_cap, 0.1)) == MAX_SHIFT_LEVELS + 1
+        assert len(_ladder(n_eff, 0, 0.1, 1.0, 6.0, at_cap)) == MAX_SHIFT_LEVELS + 1
         past_cap = n_eff ** (1 / (MAX_SHIFT_LEVELS + 0.5))
         with pytest.raises(ValueError, match="shift levels"):
-            _shift_ladder(n_eff, past_cap, 0.0)
+            _ladder(n_eff, 11, 0.0, 1.0, 6.0, past_cap)
+
+    def test_ladders_are_read_only(self):
+        for sigma in (0.0, 0.512):
+            shifts = _ladder(3368421, 521, sigma, 1.0, 6.0, 2.5)
+            with pytest.raises(ValueError, match="read-only"):
+                shifts[0] = 1.0
 
     def test_fitted_ladder_is_the_shortest_p_admits(self):
         # p admits growth up to g* = (sqrt(1 + 4r) - 1)/2 with
-        # r = pi a_min sqrt(p) / (c_sigma sigma); the fitted ladder has the
-        # fewest levels M_p whose growth N'^(1/M_p) stays within g*, and is
-        # the configured ladder itself once M_p reaches its 17 levels
+        # r = pi a_min sqrt(p) / (c_sigma sigma); the ladder has the fewest
+        # levels M whose growth N'^(1/M) stays within g*, and grows by beta
+        # itself once M reaches its 17 levels at beta
         n_eff, sigma = 3368421, 0.512
-        shifts = _shift_ladder(n_eff, 2.5, sigma)
-        fitted = _fitted_ladder(shifts, n_eff, 521, sigma, 1.0, 6.0)
+        fitted = _ladder(n_eff, 521, sigma, 1.0, 6.0, 2.5)
         assert len(fitted) == 12  # g* = 4.36 at the headline's first p
-        np.testing.assert_allclose(fitted, shifts[0] * n_eff ** (np.arange(12) / 11), rtol=1e-12)
-        assert not fitted.flags.writeable
+        np.testing.assert_allclose(fitted, fitted[0] * n_eff ** (np.arange(12) / 11), rtol=1e-12)
+        assert fitted[0] == 1 / (2 * n_eff)
+        at_beta = 1.0 / (2 * n_eff) * 2.5 ** np.arange(18, dtype=np.float64)
         seen = set()
         for p in range(79, 3000, 2):
-            fitted = _fitted_ladder(shifts, n_eff, p, sigma, 1.0, 6.0)
+            fitted = _ladder(n_eff, p, sigma, 1.0, 6.0, 2.5)
             M = len(fitted) - 1
             seen.add(M)
             if M == 17:
-                assert fitted is shifts, p
+                assert fitted.tobytes() == at_beta.tobytes(), p
                 continue
             r = math.pi * math.sqrt(p) / (6.0 * sigma)
             top = (math.sqrt(1 + 4 * r) - 1) / 2
@@ -133,17 +147,20 @@ class TestSchedule:
             assert n_eff ** (1 / (M - 1)) > top, p  # one level fewer grows too fast
         assert seen == set(range(8, 18))
         # sigma = 0 keeps the noiseless ladder at any p
-        noiseless = _shift_ladder(n_eff, 2.5, 0.0)
-        assert _fitted_ladder(noiseless, n_eff, 10**6 + 3, 0.0, 1.0, 6.0) is noiseless
+        noiseless = _ladder(n_eff, 11, 0.0, 1.0, 6.0, 2.5)
+        assert _ladder(n_eff, 10**6 + 3, 0.0, 1.0, 6.0, 2.5).tobytes() == noiseless.tobytes()
 
     def test_fitted_ladder_growth_stays_within_float64_bound(self):
         # near N' = 2^52 a tiny sigma admits growth past 2^24, which float64
         # phases do not survive: the growth stops at 2^24, three levels as at
         # sigma = 0, not the two N'^(1/2) ~ 2^26 would give
         n_eff = 4311578947368421
-        fitted = _fitted_ladder(_shift_ladder(n_eff, 2.5, 1e-15), n_eff, 521, 1e-15, 1.0, 6.0)
+        fitted = _ladder(n_eff, 521, 1e-15, 1.0, 6.0, 2.5)
         assert len(fitted) == 4
         assert fitted[1] / fitted[0] <= NOISELESS_MAX_BETA
+        # a sigma whose noise c_sigma sigma underflows to 0 is noiseless
+        noiseless = _ladder(n_eff, 521, 0.0, 1.0, 6.0, 2.5)
+        assert _ladder(n_eff, 521, 5e-324, 1.0, 0.4, 2.5).tobytes() == noiseless.tobytes()
 
 
 class TestCollisionTest:
@@ -275,10 +292,10 @@ class TestEntryEstimation:
 
     def test_reconstruct_bound_under_phase_noise(self):
         # smaller sibling of the acceptance-suite reconstruction-bound check,
-        # on the noiseless ladder (growth 2^24)
+        # on the noiseless ladder (one level, growth N')
         rng = np.random.default_rng(11)
-        shifts = _shift_ladder(3368421, 2.5, 0.0)
-        beta, M = NOISELESS_MAX_BETA, len(shifts) - 1
+        shifts = _ladder(3368421, 11, 0.0, 1.0, 6.0, 2.5)
+        beta, M = shifts[1] / shifts[0], len(shifts) - 1
         delta = 1 / (2 * beta + 2)
         bound = delta / shifts[0] * beta**-M
         half = 3368421 // 2
@@ -324,7 +341,7 @@ class TestFracProduct:
         w = np.concatenate([[-(n_eff // 2), n_eff // 2, 0, 1],
                             rng.integers(-(n_eff // 2), n_eff // 2, 200)]).astype(np.float64)
         for sigma in (0.0, 0.512):
-            for eps in _shift_ladder(n_eff, 2.5, sigma):
+            for eps in _ladder(n_eff, 0, sigma, 1.0, 6.0, 2.5):
                 got = _frac_product(w, eps)
                 assert np.all(self.cycles_apart(got, frac_product(w, eps)) <= 2.0**-53)
                 # the product is symmetric, as reconstruct_entry calls it
@@ -339,9 +356,9 @@ class TestFracProduct:
         rng = np.random.default_rng(23)
         w = np.concatenate([[-(n_eff // 2), n_eff // 2 - 1],
                             rng.integers(-(n_eff // 2), n_eff // 2, 2000)])
-        for sigma, beta in ((0.0, NOISELESS_MAX_BETA), (0.512, 2.5)):
-            shifts = _shift_ladder(n_eff, 2.5, sigma)
-            edge = 0.99 / (2 * beta + 2)
+        for sigma in (0.0, 0.512):
+            shifts = _ladder(n_eff, 0, sigma, 1.0, 6.0, 2.5)
+            edge = 0.99 / (2 * shifts[1] / shifts[0] + 2)
             noise = rng.uniform(-edge, edge, (len(shifts), len(w)))
             exact = frac_product(w.astype(np.float64), shifts[:, None])
             phases = frac_centered(exact + noise)
@@ -457,8 +474,8 @@ class TestStackedCases:
 
     def test_reconstruct_entry(self):
         rng = np.random.default_rng(11)
-        shifts = _shift_ladder(3368421, 2.5, 0.0)
-        delta = 1 / (2 * NOISELESS_MAX_BETA + 2)
+        shifts = _ladder(3368421, 11, 0.0, 1.0, 6.0, 2.5)
+        delta = 1 / (2 * shifts[1] / shifts[0] + 2)
         half = 3368421 // 2
         w = rng.integers(-half, half + 1, size=(3, 40))
         noise = rng.uniform(-delta, delta, size=(len(shifts), 3, 40))

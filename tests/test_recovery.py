@@ -1,5 +1,5 @@
 import time
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -17,7 +17,7 @@ from msfourier import (
 )
 from msfourier.cli import cmd_recover, random_spectrum
 from msfourier.dft import dft_forward
-from msfourier.estimator import MAX_SAMPLE_LENGTH, _shift_ladder, make_schedule
+from msfourier.estimator import MAX_SAMPLE_LENGTH, _ladder, make_schedule
 from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
 from msfourier.unwrap import UnwrapMap, unwrap_freq
 
@@ -51,7 +51,8 @@ def test_sample_count_formula():
     )
     truth = SparseSpectrum(modes=modes, bandwidth=8, dim=2)
     cfg = RecoveryConfig(N=8, d=2, d1=1, s=5)
-    p, M = cfg.schedule(5)[0], len(cfg.shifts) - 1
+    p = cfg.schedule(5)[0]
+    M = len(cfg.ladder(p)) - 1
     assert (p, M) == (11, 1)
     res = recover(cfg, truth)
     assert res.converged and res.outer_iterations == 1
@@ -345,13 +346,15 @@ def test_sample_seconds_within_the_recover_call(monkeypatch):
 
 
 def test_config_owns_geometry_and_schedule():
-    # replace() rebuilds the unwrap geometry and the shift ladder; neither
-    # takes part in equality or hashing, and numpy integers are accepted
+    # replace() rebuilds the unwrap geometry, and with it the shift
+    # ladders; umap takes no part in equality or hashing, and numpy
+    # integers are accepted
     cfg = RecoveryConfig(N=20, d=10, d1=1, s=8, sigma=0.1)
     wider = replace(cfg, d1=5)
     assert wider.umap == UnwrapMap(bandwidth=20, dim=10, block=5)
-    assert wider.shifts.tobytes() == _shift_ladder(3368421, 2.5, 0.1).tobytes()
-    assert len(wider.shifts) != len(cfg.shifts)
+    p = cfg.schedule(1)[0]
+    assert wider.ladder(p).tobytes() == _ladder(3368421, p, 0.1, 1.0, 6.0, 2.5).tobytes()
+    assert len(wider.ladder(p)) != len(cfg.ladder(p))
     direct = RecoveryConfig(N=np.int64(20), d=10, d1=np.int64(5), s=8, sigma=0.1)
     assert direct == wider and hash(direct) == hash(wider)
     assert direct.umap == wider.umap and direct.umap is not wider.umap
@@ -363,22 +366,6 @@ def test_config_schedule_is_make_schedule(s_star):
     cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, c1=3.0, c_sigma=5.0, beta=2.0)
     got = cfg.schedule(s_star)
     assert got == make_schedule(s_star, cfg.sigma, cfg.a_min, cfg.c1, cfg.c_sigma, cfg.beta)
-
-
-def test_config_shifts_are_the_runs_ladder():
-    # the ladder is built once per config: read-only, outside equality and
-    # hashing, and the same at every sparsity
-    cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512)
-    with pytest.raises(FrozenInstanceError):
-        cfg.shifts = cfg.shifts[:1]
-    with pytest.raises(ValueError, match="read-only"):
-        cfg.shifts[0] = 1.0
-    twin = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512)
-    object.__setattr__(twin, "shifts", twin.shifts[:1])
-    assert twin == cfg and hash(twin) == hash(cfg)
-    assert "shifts" not in repr(cfg)
-    for s in (1, 7, 300):
-        assert replace(cfg, s=s).shifts.tobytes() == cfg.shifts.tobytes()
 
 
 def test_runaway_sample_length_refused():
@@ -394,7 +381,7 @@ def test_runaway_sample_length_refused():
 
 
 # N=20, d=10, d1=5, s=128 at sigma=0.512: the first iteration's p=257
-# admits 12 shift levels, the last ones' p=79 only the configured 17
+# admits 12 shift levels, the last ones' p=79 only the 17 of growth beta
 LADDER_CHANGES = dict(N=20, d=10, d1=5, s=128, sigma=0.512, seed=7)
 
 
@@ -452,10 +439,10 @@ def test_shift_weights_once_per_row_and_level(monkeypatch):
 
 def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):
     # at the headline size the first iteration's p = 521 admits growth 4.36
-    # and 11 levels, not the configured 17: it draws 1 + 20 * 12 vectors
+    # and 11 levels, not the 17 of growth beta: it draws 1 + 20 * 12 vectors
     truth = random_spectrum(20, 100, 256, 0)
     cfg = RecoveryConfig(N=20, d=100, d1=5, s=256, sigma=0.512, seed=0)
-    assert len(cfg.shifts) - 1 == 17
+    assert len(cfg.ladder(cfg.schedule(1)[0])) - 1 == 17
     lengths = []
 
     def counted(index, weights, plan, noise, _fn=recovery.gather_unwrapped):
@@ -471,7 +458,7 @@ def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):
 
 def test_headline_samples_per_sd():
     # the fitted ladders keep the headline size exact at no more than
-    # 11.5 s d samples; the configured ladder at every iteration draws
+    # 11.5 s d samples; the ladder of growth beta at every iteration draws
     # 12.1 to 14.2 s d on these seeds
     for seed in range(4):
         truth = random_spectrum(20, 100, 256, seed)
@@ -480,22 +467,22 @@ def test_headline_samples_per_sd():
         assert res.samples_used <= 11.5 * 256 * 100, (seed, res.samples_used)
 
 
-def test_noiseless_iterations_climb_the_configured_ladder(monkeypatch):
-    # at sigma = 0 no p changes the ladder: every iteration climbs config.shifts
+def test_noiseless_iterations_climb_one_ladder(monkeypatch):
+    # at sigma = 0 no p changes the ladder: every iteration climbs the same one
     truth = random_spectrum(20, 20, 64, 5)
     cfg = RecoveryConfig(N=20, d=20, d1=5, s=64, seed=5)
     ladders = record_ladders(monkeypatch)
     res = recover(cfg, truth)
     assert res.converged and len(ladders) == res.outer_iterations > 1
-    assert all(shifts is cfg.shifts for _, shifts in ladders)
-    for p in (2, 131, 10**6 + 3):
-        assert cfg.ladder(p) is cfg.shifts
+    noiseless = cfg.ladder(2)
+    assert len(noiseless) == 2  # M = 1 at N' = 3368421
+    for shifts in [shifts for _, shifts in ladders] + [cfg.ladder(p) for p in (131, 10**6 + 3)]:
+        assert shifts.tobytes() == noiseless.tobytes()
 
 
 def test_bandwidth_limit_for_exact_recovery():
     # N'(20, 13) ~ 8.6e16 > 2^53: float64 shift phases cannot resolve the
-    # unwrapped entries; run anyway, recovery reports convergence with none
-    # of the 8 frequencies right
+    # unwrapped entries, so the config is refused before any sample is drawn
     with pytest.raises(ValueError, match="2\\^53"):
         RecoveryConfig(N=20, d=13, d1=13, s=8, seed=1)
     # N'(20, 12) ~ 4.3e15 < 2^53 is accepted and exact
@@ -571,6 +558,22 @@ def test_single_axis_noisy_never_converges_wrong():
         res = recover(RecoveryConfig(N=20, d=10, d1=10, s=16, sigma=0.5, seed=seed), truth)
         if res.converged:
             assert compare(truth, res.modes).exact_freq_rate == 1.0, seed
+
+
+# Modes that share the sampled axis's entry merge in one bin and pass the
+# residue check; at small p with noise tau lets them pass the collision
+# vote too, and their blended phases round to an in-range row that is not
+# a mode. Both runs report convergence with wrong modes at the stated sigma
+# (1 missed and 1 spurious, then 2 and 2). A phase-consistency check would
+# catch them, and these tests then pass and lose their marks.
+@pytest.mark.xfail(strict=True, reason="merged modes converge wrong at the stated sigma")
+@pytest.mark.parametrize(
+    "N, d, s, sigma, seed", [(20, 2, 12, 0.5, 1978043455), (8, 3, 9, 1.0, 1092047923)]
+)
+def test_merged_modes_never_converge_wrong(N, d, s, sigma, seed):
+    truth = random_spectrum(N, d, s, seed)
+    res = recover(RecoveryConfig(N=N, d=d, d1=1, s=s, sigma=sigma, seed=seed), truth)
+    assert not res.converged or compare(truth, res.modes).exact_freq_rate == 1.0
 
 
 def scaled_cell(k: float, seed: int):
