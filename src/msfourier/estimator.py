@@ -142,11 +142,15 @@ def _ladder(
     level a does not wrap while (2 g + 1) E stays below 1/2, which g <= 2^24
     holds 2^6 times over for E up to 2^-32 cycles.
 
-    The admitted growth max(min(g*, 2^24), beta) sets the fewest levels
-    M = ceil(ln N' / ln g), and the ladder grows by max(N'^(1/M), beta):
-    the least growth that reaches N' in M levels, floored at beta. Noiseless
-    ladders have one level up to N' = 2^24, two up to 2^48 and three up to
-    the 2^53 cap. beta bounds every p's ladder by floor(log_beta N') + 1
+    The admitted growth g = max(min(g*, 2^24), beta) sets the fewest levels
+    M = ceil(ln N' / ln g). At sigma > 0 the ladder grows by
+    max(N'^(1/M), beta): the least growth that reaches N' in M levels,
+    floored at beta. A noiseless ladder grows by g itself, so its top shift
+    is not held at 1/2, where a w' difference of 2 is a whole cycle: at
+    N = 20, d1 = 5 it is 2.49, and the top level's collision test still
+    sees two merged modes 2 apart. Noiseless ladders have one level up to
+    N' = 2^24, two up to 2^48 and three up to the 2^53 cap.
+    beta bounds every p's ladder by floor(log_beta N') + 1
     levels; a bound above ``MAX_SHIFT_LEVELS`` raises ValueError before any
     array is built. The inputs come checked by ``make_schedule``; the
     ladder is read-only.
@@ -161,7 +165,8 @@ def _ladder(
     r = math.pi * a_min * math.sqrt(p) / noise if noise else math.inf
     growth = max(min((math.sqrt(1 + 4 * r) - 1) / 2, NOISELESS_MAX_BETA), beta)
     M = math.ceil(math.log(n_eff) / math.log(growth))
-    growth = max(n_eff ** (1 / M), beta)
+    if noise:
+        growth = max(n_eff ** (1 / M), beta)
     shifts = 1.0 / (2 * n_eff) * growth ** np.arange(M + 1, dtype=np.float64)
     shifts.flags.writeable = False
     return shifts

@@ -68,29 +68,28 @@ class TestSchedule:
                 make_schedule(4, 0.1, 1.0, 2.0, c_sigma, 2.5)
 
     def test_noiseless_ladder_sized_by_float64_error(self):
-        # at sigma = 0 the growth may reach 2^24 at every N', so the ladder
+        # at sigma = 0 the growth is at least 2^24 at every N', so the ladder
         # has one level up to N' = 2^24, two up to 2^48 and three up to the
-        # 2^53 cap, and grows by N'^(1/M); a wider beta is kept as it is. At
-        # p = 0 (no SNR to spare) every sigma > 0 grows by beta
-        table = {  # N': M at beta = 2.5, then at 2^30
-            2**24 - 1: (1, 1),
-            2**24: (1, 1),
-            2**24 + 1: (2, 1),
-            2**46: (2, 2),
-            2**48 + 1: (3, 2),
-            2**53: (3, 2),
-            3368421: (1, 1),  # N=20 at d1=5, 11 and 12
-            215578947368421: (2, 2),
-            4311578947368421: (3, 2),
+        # 2^53 cap; a wider beta is kept as it is. N' = N R + 1 is odd, so
+        # no config reaches 2^24 itself. At p = 0 (no SNR to spare) every
+        # sigma > 0 grows by beta
+        table = {  # N': (growth, M) at beta = 2.5, then at 2^30
+            2**24 - 1: ((2**24, 1), (2**30, 1)),
+            2**24: ((2**24, 1), (2**30, 1)),
+            2**24 + 1: ((2**24, 2), (2**30, 1)),
+            2**46: ((2**24, 2), (2**30, 2)),
+            2**48 + 1: ((2**24, 3), (2**30, 2)),
+            2**53: ((2**24, 3), (2**30, 2)),
+            3368421: ((2**24, 1), (2**30, 1)),  # N=20 at d1=5, 11 and 12
+            215578947368421: ((2**24, 2), (2**30, 2)),
+            4311578947368421: ((2**24, 3), (2**30, 2)),
         }
         for n_eff, pinned in table.items():
-            for beta, M in zip((2.5, 2.0**30), pinned):
+            for beta, (growth, M) in zip((2.5, 2.0**30), pinned):
                 for p in (0, 11, 10**6 + 3):
                     shifts = _ladder(n_eff, p, 0.0, 1.0, 6.0, beta)
                     assert len(shifts) == M + 1, n_eff
-                    growth = max(n_eff ** (1 / M), beta)
-                    assert growth <= max(NOISELESS_MAX_BETA, beta)
-                    want = 1.0 / (2 * n_eff) * growth ** np.arange(M + 1, dtype=np.float64)
+                    want = 1.0 / (2 * n_eff) * float(growth) ** np.arange(M + 1)
                     assert shifts.tobytes() == want.tobytes()
                 levels = math.floor(math.log(n_eff, beta)) + 2
                 want = 1.0 / (2 * n_eff) * beta ** np.arange(levels, dtype=np.float64)

@@ -522,6 +522,24 @@ def test_noiseless_config_never_converges_wrong():
     assert converged >= 0.75 * noiseless
 
 
+def test_noiseless_pair_two_apart_is_split():
+    # two in-phase modes that share the first axis's entry and differ by 2
+    # in the lowest digit of the second block merge in the first iteration's
+    # bin. Level 0 barely moves their ratio's modulus, so the top level at
+    # shift 2.49 must fail it; a top shift of 1/2 turns the gap into a
+    # whole cycle, the merged bin passes and the pair is never recovered
+    rows = np.zeros((2, 10), dtype=np.int64)
+    rows[:, :5] = (3, -4, 0, 7, -10)
+    rows[:, 5:] = (1, 2, -3, 9, 5)
+    rows[1, 5] += 2
+    truth = SparseSpectrum.from_arrays(rows, np.array([1.0, 0.7]), 20, 10)
+    cfg = RecoveryConfig(N=20, d=10, d1=5, s=2)
+    assert cfg.ladder(cfg.schedule(2)[0])[-1] == 2.0**24 / (2 * 3368421)
+    res = recover(cfg, truth)
+    assert res.converged and res.outer_iterations == 2
+    assert compare(truth, res.modes).exact_freq_rate == 1.0
+
+
 def test_noiseless_samples_scale_as_ds():
     # the sigma = 0 ladder has at most three levels at every N', so a
     # headline-size noiseless run draws Theta(d s) samples: about 1.3 s d at
