@@ -38,12 +38,13 @@ def random_spectrum(N: int, d: int, s: int, seed: int) -> SparseSpectrum:
         raise ValueError(f"cannot place {s} distinct modes in a {N}^{d} cube")
     rng = np.random.Generator(np.random.Philox(key=_key64(seed)))
     coeffs = np.exp(2j * np.pi * rng.random(s))
+    lo, hi = -(N // 2), (N + 1) // 2  # SparseSpectrum's entry range
     # Rows in draw order with repeats skipped. Each draw adds at most one
     # row, so drawing the missing rows as one block consumes the same draws
     # as drawing one row at a time until s rows are distinct.
     freqs = np.empty((0, d), dtype=np.int64)
     while len(freqs) < s:
-        rows = np.concatenate([freqs, rng.integers(-N // 2, N // 2, size=(s - len(freqs), d))])
+        rows = np.concatenate([freqs, rng.integers(lo, hi, size=(s - len(freqs), d))])
         _, first = np.unique(_row_keys(rows), return_index=True)
         freqs = rows[np.sort(first)]
     return SparseSpectrum.from_arrays(freqs, coeffs, N, d)

@@ -106,19 +106,6 @@ class RecoveryResult:
     sample_seconds: float = field(default=0.0, compare=False)
 
 
-def _weigh_rows(weights, start, freqs, coeffs, shifts) -> float:
-    """Fill ``weights[:, :, start:start+n]`` with the n rows' shift weights; returns the seconds.
-
-    One level at a time, so temporaries stay one level in size; the
-    (d', n) transpose gives one row of weights per shift axis.
-    """
-    t0 = time.perf_counter()
-    freqs_t = np.ascontiguousarray(freqs.T, dtype=np.float64)
-    for alpha, eps in enumerate(shifts.tolist()):
-        weights[alpha, :, start : start + len(coeffs)] = shift_weights(coeffs, freqs_t, eps)
-    return time.perf_counter() - t0
-
-
 def recover(
     config: RecoveryConfig, truth: SparseSpectrum, noise: NoiseModel | None = None
 ) -> RecoveryResult:
@@ -141,12 +128,13 @@ def recover(
     max_outer = config.max_outer_iterations or 10 * d_red
 
     # The residual: the truth's unwrapped rows, then each found mode's row
-    # with its coefficient negated, in the order the modes were found. Each
-    # row's weights (level, shift axis, row) at the current ladder ``shifts``
-    # are computed once: every row when an iteration's ladder differs from
-    # the last one's, and a found row when it joins. The array has room for
-    # s found rows and the longest ladder any p climbs, the one p = 0 gets
-    # with growth at its floor: (M+1) d' (n_truth+s) 16 bytes.
+    # with its coefficient negated, in the order the modes were found. The
+    # first ``weighed`` rows hold their weights (level, shift axis, row) at
+    # the current ladder ``shifts``. Each iteration weighs the rest, and a
+    # ladder change starts over from row 0, so a row is weighed once per
+    # ladder it is sampled under. The array has room for s found rows and
+    # the longest ladder any p climbs, the one p = 0 gets with growth at its
+    # floor: (M+1) d' (n_truth+s) 16 bytes.
     n_truth = len(truth)
     freqs_all = unwrap_freq(truth.freqs, umap)
     coeffs_all = truth.coeffs
@@ -155,6 +143,7 @@ def recover(
     )
     weights = np.empty((len(longest), d_red, n_truth + config.s), dtype=np.complex128)
     sample_seconds = 0.0
+    weighed = 0
     n_found = 0
     samples_used = 0
     streams = itertools.count()
@@ -176,8 +165,15 @@ def recover(
         k_tilde = (i % d_red) + 1
         ladder = config.ladder(p)
         if i == 0 or not np.array_equal(ladder, shifts):
-            shifts = ladder
-            sample_seconds += _weigh_rows(weights, 0, freqs_all, coeffs_all, shifts)
+            shifts, weighed = ladder, 0
+        # One level at a time, so temporaries stay one level in size; the
+        # (d', n) transpose of the unweighed rows gives one row per shift axis.
+        t0 = time.perf_counter()
+        freqs_t = np.ascontiguousarray(freqs_all[weighed:].T, dtype=np.float64)
+        for alpha, eps in enumerate(shifts.tolist()):
+            weights[alpha, :, weighed:n_rows] = shift_weights(coeffs_all[weighed:], freqs_t, eps)
+        sample_seconds += time.perf_counter() - t0
+        weighed = n_rows
         M = len(shifts) - 1
 
         # Every vector of this iteration lies on the line along k~.
@@ -213,10 +209,8 @@ def recover(
         rows = np.concatenate([freqs_all[n_truth:], cands])
         _, first = np.unique(_row_keys(rows), return_index=True)
         new = np.sort(first[first >= n_found]) - n_found
-        new_freqs, new_coeffs = cands[new], -coeffs[new]
-        sample_seconds += _weigh_rows(weights, n_rows, new_freqs, new_coeffs, shifts)
-        freqs_all = np.concatenate([freqs_all, new_freqs])
-        coeffs_all = np.concatenate([coeffs_all, new_coeffs])
+        freqs_all = np.concatenate([freqs_all, cands[new]])
+        coeffs_all = np.concatenate([coeffs_all, -coeffs[new]])
         n_found += len(new)
         i += 1
 

@@ -20,15 +20,11 @@ vectors: ``line_index`` once per line, and ``shift_weights`` once per mode
 and shift size, for all d' shift axes at once. It reduces each phase w eps
 modulo 1 from the exact product of float64 w and eps
 (``estimator._frac_product``): at the largest shifts |w eps| can pass 2^53,
-where the rounded product has no fractional bit left. An outer
-iteration's shift ladder follows its p (``RecoveryConfig.ladder``), and
-consecutive iterations mostly share one, so ``recovery.recover`` weighs
-each residual row once per level and ladder and keeps the weights in one
-array sized for the longest ladder any p climbs, (M+1) d' (n + s)
-complex128 values: every row when the ladder changes, a found row when it
-joins. ``gather_unwrapped`` then costs one ``bincount`` over the
-interleaved real and imaginary parts of the weights, one inverse FFT and
-one noise draw per vector.
+where the rounded product has no fractional bit left. ``recovery.recover``
+keeps its residual rows' weights from one outer iteration to the next, so
+``gather_unwrapped`` costs one ``bincount`` over the interleaved real and
+imaginary parts of the weights, one inverse FFT and one noise draw per
+vector.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64) of ``spectrum._key64``,

@@ -62,7 +62,7 @@ def random_spectrum_per_row(N: int, d: int, s: int, seed: int) -> SparseSpectrum
     coeffs = np.exp(2j * np.pi * rng.random(s))
     freqs: dict[tuple[int, ...], None] = {}
     while len(freqs) < s:
-        freqs.setdefault(tuple(rng.integers(-N // 2, N // 2, size=d).tolist()))
+        freqs.setdefault(tuple(rng.integers(-(N // 2), (N + 1) // 2, size=d).tolist()))
     return SparseSpectrum.from_arrays(list(freqs), coeffs, N, d)
 
 

@@ -57,7 +57,7 @@ def test_generate_overfull_cube(tmp_path):
         write_signal_file(random_spectrum(2, 2, 5, seed=0), tmp_path / "x.txt")
 
 
-@pytest.mark.parametrize("N,d", [(2, 1), (2, 5), (4, 3), (8, 2), (20, 1), (20, 7)])
+@pytest.mark.parametrize("N,d", [(2, 1), (2, 5), (4, 3), (5, 2), (7, 3), (8, 2), (20, 1), (20, 7)])
 @pytest.mark.parametrize("seed", [-5, 0, 2**64 - 1, 2**70])
 def test_random_spectrum_matches_per_row_draws(N, d, seed):
     # block draws keep the one-row-at-a-time draw order, repeats included:
