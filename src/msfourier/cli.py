@@ -94,10 +94,11 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
 
     Per (value, trial): a fresh random signal and noise stream from seeds
     derived deterministically off the fixed config's seed. One aggregate
-    row (trial="mean") per value holds arithmetic means; runtime columns
-    are wall-clock and not reproducible. p is the first outer iteration's
-    sample length, and M the top level of that iteration's shift ladder
-    (``cfg.ladder(p)`` has M+1 levels).
+    row (trial="mean") per value holds the trials' arithmetic means and the
+    value's own p and M; runtime columns are wall-clock and not
+    reproducible. p is the first outer iteration's sample length, and M the
+    top level of that iteration's shift ladder, both from one
+    ``cfg.schedule(cfg.s)`` call.
     """
     if variable not in ("sigma", "sparsity"):
         raise ValueError(f"unknown sweep variable {variable!r}")
@@ -111,8 +112,8 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
     rows: list[dict] = []
     all_converged = True
     for vi, (value, cfg) in enumerate(zip(values, configs)):
-        p, _ = cfg.schedule(cfg.s)
-        M = len(cfg.ladder(p)) - 1
+        p, _, shifts = cfg.schedule(cfg.s)
+        M = len(shifts) - 1
         trial_rows = []
         for trial in range(trials):
             signal_seed, noise_seed = _trial_seeds(cfg.seed, vi, trial)
@@ -125,11 +126,12 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
                 outcome.result.samples_used, outcome.runtime_ms, outcome.sample_ms,
                 p, M,
             ], strict=True)))
-        # The mean row labels the columns through seed and averages the rest.
+        # The mean row labels the columns through seed, averages the trials'
+        # results and repeats p and M, which no trial changes.
         mean = dict(zip(CSV_COLUMNS, [variable, value, "mean", ""]))
-        for col in CSV_COLUMNS[len(mean):]:
+        for col in CSV_COLUMNS[len(mean):-2]:
             mean[col] = sum(r[col] for r in trial_rows) / len(trial_rows)
-        rows += trial_rows + [mean]
+        rows += trial_rows + [dict(mean, p=p, M=M)]
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()

@@ -5,9 +5,9 @@ axis k~, ranks the s* largest DFT bins of a prime-length sample vector,
 then refines a d'-entry frequency estimate per bin through the multiscale
 shift ladder: at each level one shifted/unshifted bin ratio gives both the
 entry's phase and the bin's collision vote (``estimator.shift_ratio``).
-p and tau follow the remaining sparsity s* (``RecoveryConfig.schedule``),
-and the ladder follows p (``RecoveryConfig.ladder``): at sigma > 0 a
-longer p admits a faster-growing ladder with fewer levels.
+Each iteration's plan, p, tau and the shift ladder, follows the remaining
+sparsity s* (``RecoveryConfig.schedule``): the ladder follows p, and at
+sigma > 0 a longer p admits a faster-growing ladder with fewer levels.
 Accepted modes are subtracted from all later samples; the loop ends when
 s modes are found or the iteration budget runs out (the all-axes-collision
 case this library does not attempt to untangle).
@@ -45,7 +45,7 @@ _MAX_EXACT_BANDWIDTH = 2**53
 class RecoveryConfig:
     """Run parameters; defaults follow the standard benchmark setup. The
     config builds the run's unwrap geometry ``umap`` and gives each outer
-    iteration's (p, tau) and shift ladder."""
+    iteration's plan (p, tau, shift ladder)."""
 
     N: int
     d: int
@@ -85,16 +85,14 @@ class RecoveryConfig:
             raise ValueError(f"s={self.s} exceeds the {self.N}^{self.d} frequency cube")
         # Checks s, sigma, a_min, c1, c_sigma and beta, and the largest p (p
         # only falls with s*), then the level cap that beta sets every ladder.
-        self.ladder(self.schedule(self.s)[0])
+        self.schedule(self.s)
 
-    def schedule(self, s_star: int) -> tuple[int, float]:
-        """(p, tau) of an outer iteration with sparsity budget ``s_star``."""
-        return make_schedule(s_star, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta)
-
-    def ladder(self, p: int) -> np.ndarray:
-        """Shift ladder of an outer iteration with sample length ``p``: the
-        fewest levels whose growth p's SNR admits, read-only."""
-        return _ladder(self.umap.eff_bandwidth, p, self.sigma, self.a_min, self.c_sigma, self.beta)
+    def schedule(self, s_star: int) -> tuple[int, float, np.ndarray]:
+        """(p, tau, shifts) of an outer iteration with sparsity budget
+        ``s_star``: shifts is p's ladder (``estimator._ladder``), read-only."""
+        p, tau = make_schedule(s_star, self.sigma, self.a_min, self.c1, self.c_sigma, self.beta)
+        n_eff = self.umap.eff_bandwidth
+        return p, tau, _ladder(n_eff, p, self.sigma, self.a_min, self.c_sigma, self.beta)
 
 
 @dataclass
@@ -132,16 +130,15 @@ def recover(
     # first ``weighed`` rows hold their weights (level, shift axis, row) at
     # the current ladder ``shifts``. Each iteration weighs the rest, and a
     # ladder change starts over from row 0, so a row is weighed once per
-    # ladder it is sampled under. The array has room for s found rows and
-    # the longest ladder any p climbs, the one p = 0 gets with growth at its
-    # floor: (M+1) d' (n_truth+s) 16 bytes.
+    # ladder it is sampled under. The array is allocated once, with room for
+    # s found rows and the levels of s* = 1's ladder, the longest any
+    # iteration climbs: p only falls as s* falls, and a shorter p admits no
+    # faster growth. (M+1) d' (n_truth+s) 16 bytes.
     n_truth = len(truth)
     freqs_all = unwrap_freq(truth.freqs, umap)
     coeffs_all = truth.coeffs
-    longest = _ladder(
-        umap.eff_bandwidth, 0, config.sigma, config.a_min, config.c_sigma, config.beta
-    )
-    weights = np.empty((len(longest), d_red, n_truth + config.s), dtype=np.complex128)
+    longest = len(config.schedule(1)[2])
+    weights = np.empty((longest, d_red, n_truth + config.s), dtype=np.complex128)
     sample_seconds = 0.0
     weighed = 0
     n_found = 0
@@ -160,20 +157,11 @@ def recover(
 
     while n_found < config.s and i < max_outer:
         s_star = config.s - n_found
-        p, tau = config.schedule(s_star)
+        p, tau, ladder = config.schedule(s_star)
         n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1
-        ladder = config.ladder(p)
         if i == 0 or not np.array_equal(ladder, shifts):
             shifts, weighed = ladder, 0
-        # One level at a time, so temporaries stay one level in size; the
-        # (d', n) transpose of the unweighed rows gives one row per shift axis.
-        t0 = time.perf_counter()
-        freqs_t = np.ascontiguousarray(freqs_all[weighed:].T, dtype=np.float64)
-        for alpha, eps in enumerate(shifts.tolist()):
-            weights[alpha, :, weighed:n_rows] = shift_weights(coeffs_all[weighed:], freqs_t, eps)
-        sample_seconds += time.perf_counter() - t0
-        weighed = n_rows
         M = len(shifts) - 1
 
         # Every vector of this iteration lies on the line along k~.
@@ -182,17 +170,24 @@ def recover(
         bins = top_bins(F0, s_star)
         Fu = F0[bins]
 
-        # Each shift level draws its d' vectors one by one, from the residual
-        # rows' stored weights at that level and axis, and transforms their
-        # (d', p) block with one FFT. A bin failing the collision test on any
-        # axis gets the level's vote. An empty bin fails every level, so its
-        # M+1 votes (eta < 1) reject it; its phases read 0.
+        # Each shift level first weighs the unweighed rows at its shift, from
+        # the (d', n) transpose that gives one row per shift axis, then draws
+        # its d' vectors one by one from the rows' stored weights at that
+        # level and axis, and transforms their (d', p) block with one FFT. A
+        # bin failing the collision test on any axis gets the level's vote. An
+        # empty bin fails every level, so its M+1 votes (eta < 1) reject it;
+        # its phases read 0.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
-        for alpha in range(M + 1):
+        freqs_t = np.ascontiguousarray(freqs_all[weighed:].T, dtype=np.float64)
+        for alpha, eps in enumerate(shifts.tolist()):
+            t0 = time.perf_counter()
+            weights[alpha, :, weighed:n_rows] = shift_weights(coeffs_all[weighed:], freqs_t, eps)
+            sample_seconds += time.perf_counter() - t0
             block = np.array([draw(w) for w in weights[alpha, :, :n_rows]])
             passed, phases[alpha] = shift_ratio(Fu, dft_forward(block)[:, bins], tau)
             votes += ~passed.all(axis=0)
+        weighed = n_rows
         final = np.rint(reconstruct_entry(shifts, phases)).astype(np.int64)
         # An entry outside [lo, hi] is not an unwrapped frequency: junk. A
         # single mode in bin m has w'[k~] = m mod p; an entry that does not

@@ -67,7 +67,7 @@ def test_criterion_2_coefficient_error_bound(heavy_noise_runs):
     # bound uses the first outer iteration's p (the CSV-reported schedule)
     total, within = 0, 0
     for s, per in heavy_noise_runs.items():
-        p, _ = RecoveryConfig(N=20, d=100, d1=5, s=s, sigma=SIGMA).schedule(s)
+        p = RecoveryConfig(N=20, d=100, d1=5, s=s, sigma=SIGMA).schedule(s)[0]
         bound = 6 * SIGMA / math.sqrt(p)
         for truth, result, _, _ in per:
             want = {m.freq: m.coeff for m in truth.modes}
@@ -107,7 +107,7 @@ def test_criterion_3_multiscale_reconstruction_bound():
     rng = np.random.default_rng(303)
     cfg = RecoveryConfig(N=20, d=100, d1=5, s=256, sigma=SIGMA)
     # the longest ladder the run climbs, at its shortest p, grows by beta
-    shifts = cfg.ladder(cfg.schedule(1)[0])
+    shifts = cfg.schedule(1)[2]
     beta, M = cfg.beta, len(shifts) - 1
     delta = 1 / (2 * beta + 2)
     bound = delta / shifts[0] * beta**-M

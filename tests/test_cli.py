@@ -12,6 +12,7 @@ from reference import random_spectrum_per_row
 import msfourier
 from msfourier import RecoveryConfig, read_signal_file, recover, write_signal_file
 from msfourier.cli import _trial_seeds, cli, cmd_recover, cmd_sweep, random_spectrum
+from msfourier.estimator import _ladder
 from msfourier.sampler import NoiseModel
 
 STUCK_PAIR = "8 2 2\n1.0 0.0 1 -4\n1.0 0.0 1 1\n"
@@ -193,6 +194,13 @@ def test_sweep_structure_and_aggregates(tmp_path):
         "variable", "value", "trial", "seed",
         "l1_error", "exact_rate", "samples", "runtime_ms", "sample_ms", "p", "M",
     ]
+    # a mean row's p and M are its value's, integers as in its trial rows
+    for value in map(repr, spec["values"]):
+        trials = [r for r in parsed if r["value"] == value and r["trial"] != "mean"]
+        mean = next(r for r in parsed if r["value"] == value and r["trial"] == "mean")
+        assert len(trials) == 3
+        for col in ("p", "M"):
+            assert {int(t[col]) for t in trials} == {int(mean[col])}
 
 
 def test_sweep_bit_reproducible(tmp_path):
@@ -247,15 +255,15 @@ def test_sweep_noiseless_errors_vanish(tmp_path):
 def test_sweep_trial_is_cmd_recover(tmp_path):
     # a sweep trial's row is cmd_recover's outcome on the same signal and
     # noise seed, with the first outer iteration's p and its ladder's top
-    # level M: at these sigmas p admits one level of the three at beta,
-    # the ladder p = 0 gets
+    # level M: at these sigmas p admits one level of the three that growth
+    # beta climbs
     spec = sweep_spec(tmp_path)
     rows, _ = cmd_sweep(**spec)
     for vi, value in enumerate(spec["values"]):
         value_cfg = RecoveryConfig(N=8, d=2, d1=1, s=2, sigma=value)
-        p = value_cfg.schedule(2)[0]
-        M = len(value_cfg.ladder(p)) - 1
-        assert (M, len(value_cfg.ladder(0)) - 1) == (1, 3)
+        p, _, shifts = value_cfg.schedule(2)
+        M = len(shifts) - 1
+        assert (M, len(_ladder(9, 0, value, 1.0, 6.0, 2.5)) - 1) == (1, 3)
         for trial in range(spec["trials"]):
             signal_seed, noise_seed = _trial_seeds(5, vi, trial)
             truth = random_spectrum(8, 2, 2, signal_seed)

@@ -51,8 +51,8 @@ def test_sample_count_formula():
     )
     truth = SparseSpectrum(modes=modes, bandwidth=8, dim=2)
     cfg = RecoveryConfig(N=8, d=2, d1=1, s=5)
-    p = cfg.schedule(5)[0]
-    M = len(cfg.ladder(p)) - 1
+    p, _, shifts = cfg.schedule(5)
+    M = len(shifts) - 1
     assert (p, M) == (11, 1)
     res = recover(cfg, truth)
     assert res.converged and res.outer_iterations == 1
@@ -220,14 +220,17 @@ def test_deterministic_replay():
 
 
 def record_ladders(monkeypatch):
-    """(p, ladder) of every ``RecoveryConfig.ladder`` call, in call order."""
+    """(p, ladder) of every ``RecoveryConfig.schedule`` call, in call order.
+    ``recover`` makes one at s* = 1, which sizes its weight array, then one
+    per outer iteration."""
     calls = []
 
-    def recorded(self, p, _fn=RecoveryConfig.ladder):
-        calls.append((p, _fn(self, p)))
-        return calls[-1][1]
+    def recorded(self, s_star, _fn=RecoveryConfig.schedule):
+        p, tau, shifts = _fn(self, s_star)
+        calls.append((p, shifts))
+        return p, tau, shifts
 
-    monkeypatch.setattr(RecoveryConfig, "ladder", recorded)
+    monkeypatch.setattr(RecoveryConfig, "schedule", recorded)
     return calls
 
 
@@ -247,9 +250,9 @@ def test_recover_runs_the_estimator_functions(monkeypatch):
     ladders = record_ladders(monkeypatch)
     res = recover(cfg, truth)
     assert res == plain and res.converged
-    assert calls["reconstruct_entry"] == res.outer_iterations == len(ladders)
+    assert calls["reconstruct_entry"] == res.outer_iterations == len(ladders) - 1
     # one collision verdict and phase per level of each iteration's ladder
-    assert calls["shift_ratio"] == sum(len(shifts) for _, shifts in ladders)
+    assert calls["shift_ratio"] == sum(len(shifts) for _, shifts in ladders[1:])
 
 
 def test_geometry_validation():
@@ -352,20 +355,41 @@ def test_config_owns_geometry_and_schedule():
     cfg = RecoveryConfig(N=20, d=10, d1=1, s=8, sigma=0.1)
     wider = replace(cfg, d1=5)
     assert wider.umap == UnwrapMap(bandwidth=20, dim=10, block=5)
-    p = cfg.schedule(1)[0]
-    assert wider.ladder(p).tobytes() == _ladder(3368421, p, 0.1, 1.0, 6.0, 2.5).tobytes()
-    assert len(wider.ladder(p)) != len(cfg.ladder(p))
+    p, _, shifts = wider.schedule(1)
+    assert shifts.tobytes() == _ladder(3368421, p, 0.1, 1.0, 6.0, 2.5).tobytes()
+    assert cfg.schedule(1)[0] == p and len(cfg.schedule(1)[2]) != len(shifts)
     direct = RecoveryConfig(N=np.int64(20), d=10, d1=np.int64(5), s=8, sigma=0.1)
     assert direct == wider and hash(direct) == hash(wider)
     assert direct.umap == wider.umap and direct.umap is not wider.umap
     assert direct != cfg
 
 
-@pytest.mark.parametrize("s_star", [1, 2, 7, 16, 300])
+SCHEDULE_S_STARS = [1, 2, 7, 16, 300]
+
+
+@pytest.mark.parametrize("s_star", SCHEDULE_S_STARS)
 def test_config_schedule_is_make_schedule(s_star):
+    # (p, tau) is make_schedule's, and the ladder _ladder's at that p, read-only
     cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, c1=3.0, c_sigma=5.0, beta=2.0)
-    got = cfg.schedule(s_star)
-    assert got == make_schedule(s_star, cfg.sigma, cfg.a_min, cfg.c1, cfg.c_sigma, cfg.beta)
+    p, tau, shifts = cfg.schedule(s_star)
+    assert (p, tau) == make_schedule(s_star, cfg.sigma, cfg.a_min, cfg.c1, cfg.c_sigma, cfg.beta)
+    assert shifts.tobytes() == _ladder(3368421, p, 0.512, 1.0, 5.0, 2.0).tobytes()
+    # recover allocates its weight array once, at s* = 1's ladder: no s*
+    # climbs more levels, as p only falls with s* and a shorter p admits no
+    # faster growth. On a grid of configs, each case covers the s* above
+    # the previous case's, up to its own, so together they cover 1 to 300
+    first = max(k for k in [0] + SCHEDULE_S_STARS if k < s_star) + 1
+    for sigma, a_min, c1, beta, (N, d1) in product(
+        (0.0, 1e-12, 0.1, 0.512, 2.0), (1.0, 0.3), (1.0, 2.0, 3.0), (1.3, 2.5, 4.0),
+        ((4, 11), (20, 5), (20, 12)),
+    ):
+        cfg = RecoveryConfig(N=N, d=d1, d1=d1, s=1, sigma=sigma, a_min=a_min, c1=c1, beta=beta)
+        longest = len(cfg.schedule(1)[2])
+        for k in range(first, s_star + 1):
+            p, _, shifts = cfg.schedule(k)
+            want = _ladder(cfg.umap.eff_bandwidth, p, sigma, a_min, cfg.c_sigma, beta)
+            assert len(shifts) <= longest and shifts.tobytes() == want.tobytes()
+            assert not shifts.flags.writeable
 
 
 def test_runaway_sample_length_refused():
@@ -398,10 +422,11 @@ def test_gather_calls_match_sample_accounting(monkeypatch):
         return _fn(index, weights, plan, noise)
 
     monkeypatch.setattr(recovery, "gather_unwrapped", counted)
-    ladders = record_ladders(monkeypatch)
+    calls = record_ladders(monkeypatch)
     res = recover(cfg, truth)
+    (_, longest), *ladders = calls
     assert res.converged and len(ladders) == res.outer_iterations > 1
-    assert len(ladders[0][1]) - 1 == 12 and len(ladders[-1][1]) - 1 == 17
+    assert len(ladders[0][1]) - 1 == 12 and len(ladders[-1][1]) - 1 == len(longest) - 1 == 17
     assert sum(lengths) == res.samples_used
     d_red = cfg.umap.reduced_dim
     assert lengths == [p for p, shifts in ladders for _ in range(1 + d_red * len(shifts))]
@@ -430,7 +455,7 @@ def test_shift_weights_once_per_row_and_level(monkeypatch):
     monkeypatch.setattr(recovery, "line_index", line)
     calls = record_ladders(monkeypatch)
     res = recover(cfg, truth)
-    ladders = [shifts for _, shifts in calls]
+    ladders = [shifts for _, shifts in calls[1:]]
     assert res.converged and len(ladders) == res.outer_iterations > 1
     last = [not np.array_equal(a, b) for a, b in zip(ladders, ladders[1:])] + [True]
     assert sum(last) >= 2
@@ -443,7 +468,7 @@ def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):
     # and 11 levels, not the 17 of growth beta: it draws 1 + 20 * 12 vectors
     truth = random_spectrum(20, 100, 256, 0)
     cfg = RecoveryConfig(N=20, d=100, d1=5, s=256, sigma=0.512, seed=0)
-    assert len(cfg.ladder(cfg.schedule(1)[0])) - 1 == 17
+    assert len(cfg.schedule(1)[2]) - 1 == 17
     lengths = []
 
     def counted(index, weights, plan, noise, _fn=recovery.gather_unwrapped):
@@ -472,12 +497,13 @@ def test_noiseless_iterations_climb_one_ladder(monkeypatch):
     # at sigma = 0 no p changes the ladder: every iteration climbs the same one
     truth = random_spectrum(20, 20, 64, 5)
     cfg = RecoveryConfig(N=20, d=20, d1=5, s=64, seed=5)
-    ladders = record_ladders(monkeypatch)
+    calls = record_ladders(monkeypatch)
     res = recover(cfg, truth)
-    assert res.converged and len(ladders) == res.outer_iterations > 1
-    noiseless = cfg.ladder(2)
+    assert res.converged and len(calls) - 1 == res.outer_iterations > 1
+    noiseless = _ladder(3368421, 2, 0.0, 1.0, 6.0, 2.5)
     assert len(noiseless) == 2  # M = 1 at N' = 3368421
-    for shifts in [shifts for _, shifts in ladders] + [cfg.ladder(p) for p in (131, 10**6 + 3)]:
+    at_any_p = [_ladder(3368421, p, 0.0, 1.0, 6.0, 2.5) for p in (131, 10**6 + 3)]
+    for shifts in [shifts for _, shifts in calls] + at_any_p:
         assert shifts.tobytes() == noiseless.tobytes()
 
 
@@ -540,7 +566,7 @@ def test_noiseless_pair_two_apart_is_split():
     # passes and the pair is never recovered
     truth = pair_two_apart()
     cfg = RecoveryConfig(N=20, d=10, d1=5, s=2)
-    assert cfg.ladder(cfg.schedule(2)[0])[-1] == 2.0**24 / (2 * 3368421)
+    assert cfg.schedule(2)[2][-1] == 2.0**24 / (2 * 3368421)
     res = recover(cfg, truth)
     assert res.converged and res.outer_iterations == 2
     assert compare(truth, res.modes).exact_freq_rate == 1.0
