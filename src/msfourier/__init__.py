@@ -6,7 +6,7 @@ time and samples scaling like s * d * log N rather than N^d.
 
 The package namespace holds what a user of ``recover`` and ``compare``
 needs; the building blocks live in the submodules ``estimator``,
-``sampler``, ``unwrap`` and ``dft``.
+``sampler`` and ``unwrap``, and the FFT is numpy's.
 """
 
 from .recovery import RecoveryConfig, RecoveryResult, recover

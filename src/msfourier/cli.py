@@ -135,8 +135,8 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+        writer.writerows({k: repr(float(v)) if isinstance(v, float) else v for k, v in r.items()}
+                         for r in rows)
     return rows, all_converged
 
 

@@ -11,11 +11,11 @@ keeps its magnitude under any shift, so ``shift_ratio`` gives each level's
 collision verdict and phase together.
 
 ``make_schedule`` gives what follows the remaining sparsity s* from one
-outer iteration to the next: p and tau. The shift ladder follows p
-(``_ladder``): a longer p holds a level's phase error below the
-admissible delta at a larger growth, so its ladder has fewer levels.
-beta is the floor on the growth, and 2^24, the float64 bound that alone
-sizes a noiseless ladder, its cap.
+outer iteration to the next: the prime p (``next_prime_at_least``) and
+tau. The shift ladder follows p (``_ladder``): a longer p holds a level's
+phase error below the admissible delta at a larger growth, so its ladder
+has fewer levels. beta is the floor on the growth, and 2^24, the float64
+bound that alone sizes a noiseless ladder, its cap.
 
 The estimator functions are array-native: each works elementwise on whole
 blocks of bins (shapes broadcast as numpy's do), and ``recovery.recover``
@@ -29,12 +29,12 @@ import math
 
 import numpy as np
 
-from .dft import next_prime_at_least
 from .spectrum import _is_real
 
 __all__ = [
     "frac_centered",
     "make_schedule",
+    "next_prime_at_least",
     "shift_ratio",
     "reconstruct_entry",
     "estimate_coefficient",
@@ -85,6 +85,31 @@ def _frac_product(a, b):
     bh, bl = _halves(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return frac_centered((p - np.rint(p)) + e)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def next_prime_at_least(x: float) -> int:
+    """Smallest prime >= ceil(x)."""
+    if x > 2**62:
+        raise ValueError(f"{x} out of supported range")
+    n = max(2, math.ceil(x))
+    while not _is_prime(n):
+        n += 1
+    return n
 
 
 def make_schedule(

@@ -8,6 +8,8 @@ entry's phase and the bin's collision vote (``estimator.shift_ratio``).
 Each iteration's plan, p, tau and the shift ladder, follows the remaining
 sparsity s* (``RecoveryConfig.schedule``): the ladder follows p, and at
 sigma > 0 a longer p admits a faster-growing ladder with fewer levels.
+Sample vectors have prime length p; numpy's FFT transforms them in O(p log p),
+a shift level's d' vectors as one block, which costs far less per vector.
 Accepted modes are subtracted from all later samples; the loop ends when
 s modes are found or the iteration budget runs out (the all-axes-collision
 case this library does not attempt to untangle).
@@ -20,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import fft as dft_forward  # the name perfbench/layers.py wraps
 
-from .dft import dft_forward, top_bins
 from .estimator import (
     _ladder,
     estimate_coefficient,
@@ -39,6 +41,20 @@ __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
 # so w' must stay an exact float64 integer. Above this effective bandwidth N'
 # the recovered frequencies are wrong although the run reports convergence.
 _MAX_EXACT_BANDWIDTH = 2**53
+
+
+def top_bins(F, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest-magnitude bins of a DFT vector.
+
+    Bins come in descending magnitude, ties to the lower bin index, as int64.
+    """
+    F = np.asarray(F, dtype=np.complex128)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count > len(F):
+        raise ValueError(f"count {count} exceeds vector length {len(F)}")
+    # Stable sort on negated magnitudes keeps equal-magnitude bins in index order.
+    return np.argsort(-np.abs(F), kind="stable")[:count].astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 from msfourier.cli import random_spectrum
-from msfourier.dft import next_prime_at_least
+from msfourier.estimator import next_prime_at_least
 
 
 def has_stuck_subset(spec, c1=2.0):

@@ -203,6 +203,18 @@ def test_sweep_structure_and_aggregates(tmp_path):
             assert {int(t[col]) for t in trials} == {int(mean[col])}
 
 
+def test_sweep_csv_numpy_float_values_parse(tmp_path):
+    # numpy floats are floats, and their repr used to write np.float64(0.05)
+    values = list(np.geomspace(0.05, 0.1, 2))
+    out = tmp_path / "sw.csv"
+    fixed = RecoveryConfig(N=8, d=4, d1=2, s=4, sigma=0.1, seed=3)
+    cmd_sweep("sigma", values, fixed, 1, str(out))
+    with open(out) as fh:
+        parsed = list(csv.DictReader(fh))
+    assert len(parsed) == 2 * (1 + 1)
+    assert [float(row["value"]) for row in parsed] == [v for v in values for _ in range(2)]
+
+
 def test_sweep_bit_reproducible(tmp_path):
     runtime_cols = {"runtime_ms", "sample_ms"}
 

@@ -3,11 +3,14 @@
 ``perfbench/layers.py`` patches module-level names of ``recovery`` and
 ``sampler`` by name and positional signature; a renamed function or a
 changed signature would only show in a traced benchmark run, so one traced
-recovery runs here.
+recovery runs here. A wrapped name that ``recover`` stopped calling would
+leave its layer reading 0, so each layer must record a call.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 from msfourier import RecoveryConfig, recover, recovery, sampler
 from msfourier.cli import random_spectrum
@@ -26,7 +29,8 @@ def test_tracer_wraps_every_layer():
     truth = random_spectrum(20, 10, 16, 3)
     cfg = RecoveryConfig(N=20, d=10, d1=5, s=16, sigma=0.512, seed=7)
     plain = recover(cfg, truth)
-    tracer = load_layers().Tracer({"recovery": recovery, "sampler": sampler})
+    layers = load_layers()
+    tracer = layers.Tracer({"recovery": recovery, "sampler": sampler})
     assert tracer.absent == set()
     with tracer.patched():
         traced, _ = tracer.run(0, recover, cfg, truth)
@@ -36,3 +40,8 @@ def test_tracer_wraps_every_layer():
     # and every gathered vector is synthesized once
     assert summary["sampler.gather"]["work"] == traced.samples_used
     assert summary["sampler.synth"]["calls"] == summary["sampler.gather"]["calls"]
+    # every wrapped name is called: the FFT layer is numpy's own transform,
+    # bound under the name the tracer wraps
+    assert recovery.dft_forward is np.fft.fft
+    for _, _, name, *_ in layers.SPANS + layers.COUNTERS:
+        assert summary.get(name, {"calls": 0})["calls"] >= 1, name
