@@ -67,13 +67,17 @@ class FourierMode:
     coeff: complex
 
     def __post_init__(self):
-        raw = tuple(self.freq)
-        try:
-            freq = tuple(map(int, raw))
-        except (ValueError, OverflowError):  # int(nan), int(inf)
-            freq = None
-        if freq != raw:
-            raise ValueError(f"frequency entries must be integers, got {raw}")
+        freq = self.freq if type(self.freq) is tuple else tuple(self.freq)
+        # A tuple of exact ints is kept as given; any other entry (a float, a
+        # numpy integer, a bool) is converted and must keep its value.
+        if not set(map(type, freq)) <= {int}:
+            try:
+                converted = tuple(map(int, freq))
+            except (ValueError, OverflowError):  # int(nan), int(inf)
+                converted = None
+            if converted != freq:
+                raise ValueError(f"frequency entries must be integers, got {freq}")
+            freq = converted
         object.__setattr__(self, "freq", freq)
         object.__setattr__(self, "coeff", complex(self.coeff))
         if not (math.isfinite(self.coeff.real) and math.isfinite(self.coeff.imag)):
@@ -97,7 +101,16 @@ class SparseSpectrum:
 
     def __init__(self, modes: Iterable[FourierMode], bandwidth: int, dim: int):
         modes = tuple(modes)
-        self._store([m.freq for m in modes], [m.coeff for m in modes], bandwidth, dim)
+        freqs = [m.freq for m in modes]
+        # A FourierMode's entries are Python ints, so one typed conversion
+        # reads them; any other object with a .freq takes the checked path,
+        # since np.array(..., dtype=np.int64) would truncate 1.5 to 1.
+        if set(map(type, modes)) <= {FourierMode}:
+            try:
+                freqs = np.array(freqs, dtype=np.int64)
+            except (OverflowError, ValueError):  # past int64 or ragged: refused below
+                pass
+        self._store(freqs, [m.coeff for m in modes], bandwidth, dim)
 
     @classmethod
     def from_arrays(cls, freqs, coeffs, bandwidth: int, dim: int) -> SparseSpectrum:
@@ -123,7 +136,7 @@ class SparseSpectrum:
         if not np.array_equal(freqs, raw):
             raise ValueError("frequency entries must be integers")
         coeffs = np.array(coeffs, dtype=np.complex128)
-        if not freqs.size:
+        if freqs.shape == (0,):  # from_arrays([], [], N, d)
             freqs = freqs.reshape(0, dim)
         if coeffs.ndim != 1 or freqs.shape != (len(coeffs), dim):
             raise ValueError(

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
+import hunt
 import numpy as np
 import pytest
 from conftest import separable_instance
+from hunt import graded_run, slice_runs
 
+import msfourier
 from msfourier import (
     FourierMode,
     NoiseModel,
@@ -637,17 +644,6 @@ def test_single_axis_noisy_never_converges_wrong():
             assert compare(truth, res.modes).exact_freq_rate == 1.0, seed
 
 
-def graded_run(N, d, d1, s, sigma, a_min, seed):
-    """(truth, result) of recover on random_spectrum(N, d, s, seed) with every
-    third coefficient scaled by a_min, under a config with the same seed."""
-    truth = random_spectrum(N, d, s, seed)
-    coeffs = truth.coeffs.copy()
-    coeffs[::3] *= a_min
-    truth = SparseSpectrum.from_arrays(truth.freqs, coeffs, N, d)
-    cfg = RecoveryConfig(N=N, d=d, d1=d1, s=s, sigma=sigma, a_min=a_min, seed=seed)
-    return truth, recover(cfg, truth)
-
-
 # The one converged-but-wrong run of the random slice below (2 missed and 2
 # spurious modes).
 SLICE_WRONG_RUN = (8, 3, 1, 8, 0.5, 1.0, 1318390688)
@@ -678,22 +674,6 @@ def test_merged_modes_never_converge_wrong(N, d, d1, s, sigma, a_min, seed):
     assert not res.converged or compare(truth, res.modes).exact_freq_rate == 1.0
 
 
-def slice_runs(grid_seed, runs=200):
-    """(N, d, d1, s, sigma, a_min, seed) of each run of the slice at ``grid_seed``."""
-    rng = np.random.default_rng(grid_seed)
-    for _ in range(runs):
-        N = int(rng.choice([4, 8, 20]))
-        d = int(rng.integers(2, 25))
-        # d1 | d with an effective bandwidth N' = N (N^d1 - 1) / (N - 1) + 1 <= 2^53
-        d1 = int(rng.choice([
-            q for q in range(1, d + 1) if d % q == 0 and N * (N**q - 1) // (N - 1) + 1 <= 2**53
-        ]))
-        s = int(rng.choice([2, 4, 8, 16]))
-        sigma = float(rng.choice([0, 0.1, 0.5]))
-        a_min = float(rng.choice([1, 0.3]))
-        yield N, d, d1, s, sigma, a_min, int(rng.integers(2**31))
-
-
 @pytest.mark.parametrize(
     "grid_seed, wrong_runs", [(11, set()), (12, set()), (13, set()), (14, {SLICE_WRONG_RUN})]
 )
@@ -710,6 +690,30 @@ def test_random_slice_converged_is_exact(grid_seed, wrong_runs):
             wrong.add(run)
     assert wrong == wrong_runs
     assert converged >= 0.85 * 200
+
+
+def test_hunt_script_counts_and_reports_wrong_runs(monkeypatch, capsys):
+    # the script as CI runs it, on a plain checkout: one row per (sigma,
+    # understate, beta) class drawn, 5 draws x 2 x 2 runs, and exit 0 when
+    # no converged run is wrong
+    src = str(Path(msfourier.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["--seed", "11", "--runs", "5", "--understate", "1,4", "--beta", "2.5,2.0"]
+    done = subprocess.run(
+        [sys.executable, hunt.__file__, *args], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["sigma", "understate", "beta", "runs", "converged", "wrong"]
+    assert sum(int(row.split()[3]) for row in rows) == 5 * 2 * 2
+    # a converged-but-wrong run gets a reproducer line, and the script exits 1
+    monkeypatch.setattr(hunt, "slice_runs", lambda grid_seed, runs: [SLICE_WRONG_RUN])
+    assert hunt.main(["--seed", "14", "--runs", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "wrong: N=8 d=3 d1=1 s=8 sigma=0.5 a_min=1.0 seed=1318390688 understate=1 beta=2.5 "
+        "(2 missed, 2 spurious)"
+    )
 
 
 def scaled_cell(k: float, seed: int):

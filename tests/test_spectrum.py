@@ -1,3 +1,6 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -113,12 +116,71 @@ def test_mode_invariants():
         with pytest.raises(ValueError):
             modes = [FourierMode(w, a) for w, a in zip(freqs, coeffs)]
             SparseSpectrum(modes=modes, bandwidth=bandwidth, dim=2)
-    # an integral float is read as the integer
-    assert FourierMode((1.0, -2.0), 1).freq == (1, -2)
     # arrays are read by value: no truncation and no wrap-around to int64
     for freqs in ([[1.5, 0]], [[np.nan, 0]], np.array([[2**63, 0]], dtype=np.uint64)):
         with pytest.raises(ValueError):
             SparseSpectrum.from_arrays(freqs, [1.0], 2**72, 2)
+
+
+@pytest.mark.parametrize(
+    "raw, stored",
+    [
+        ((1.0, -2.0), (1, -2)),
+        ((np.int64(3), np.int32(-1)), (3, -1)),
+        ((True, 0), (1, 0)),
+        ((Fraction(4, 2),), (2,)),
+        ([3, -4], (3, -4)),
+    ],
+)
+def test_mode_stores_integral_entries_as_ints(raw, stored):
+    freq = FourierMode(raw, 1).freq
+    assert freq == stored and type(freq) is tuple and all(type(e) is int for e in freq)
+
+
+@pytest.mark.parametrize("entry", [1.5, float("nan"), float("inf"), "1"])
+def test_mode_refuses_non_integer_entries(entry):
+    with pytest.raises(ValueError, match="frequency entries must be integers"):
+        FourierMode((0, entry), 1)
+
+
+def test_mode_keeps_an_all_int_tuple():
+    raw = (3, -4, 0)
+    assert FourierMode(raw, 1).freq is raw
+
+
+@pytest.mark.parametrize(
+    "modes, bandwidth, dim, message",
+    [
+        ([FourierMode((4, 0), 1)], 8, 2, r"must lie in \[-4, 4\)"),
+        ([FourierMode((2**63, 0), 1)], 2**70, 2, r"must lie in \[-9223372036854775808, 9223"),
+        ([FourierMode((1, 2), 1), FourierMode((3,), 1)], 8, 2, "array element with a sequence"),
+        ([FourierMode((1, 2, 3), 1)], 8, 2, r"frequencies of shape \(1, 3\)"),
+        ([FourierMode((1, 2), 1), FourierMode((1, 2), 2)], 8, 2, r"duplicate .* \(1, 2\)"),
+        ([SimpleNamespace(freq=(1, 2), coeff=complex("nan"))], 8, 2, "coefficients must be"),
+        # a mode that is not a FourierMode is checked, not truncated to (1, 0)
+        ([SimpleNamespace(freq=(1.5, 0), coeff=1)], 8, 2, "entries must be integers"),
+    ],
+)
+def test_modes_refused_with_message(modes, bandwidth, dim, message):
+    with pytest.raises(ValueError, match=message):
+        SparseSpectrum(modes=modes, bandwidth=bandwidth, dim=dim)
+
+
+def test_empty_frequency_vector_reports_its_shape():
+    with pytest.raises(ValueError, match=r"frequencies of shape \(1, 0\)"):
+        SparseSpectrum(modes=(FourierMode((), 1),), bandwidth=8, dim=1)
+    assert SparseSpectrum.from_arrays([], [], 8, 2).freqs.shape == (0, 2)
+
+
+def test_modes_round_trip_as_int_tuples():
+    rows = [(1, -4), (-3, 2), (0, 3)]
+    spec = SparseSpectrum([FourierMode(w, 1j) for w in rows], bandwidth=8, dim=2)
+    # a duck-typed mode takes the checked path and reads the same values
+    ducks = [SimpleNamespace(freq=np.array(w), coeff=1j) for w in rows]
+    assert SparseSpectrum(ducks, bandwidth=8, dim=2) == spec
+    assert [m.freq for m in spec.modes] == rows
+    assert all(type(e) is int for m in spec.modes for e in m.freq)
+    assert SparseSpectrum(spec.modes, bandwidth=8, dim=2) == spec
 
 
 @pytest.mark.parametrize(
