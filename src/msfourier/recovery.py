@@ -8,8 +8,10 @@ entry's phase and the bin's collision vote (``estimator.shift_ratio``).
 Each iteration's plan, p, tau and the shift ladder, follows the remaining
 sparsity s* (``RecoveryConfig.schedule``): the ladder follows p, and at
 sigma > 0 a longer p admits a faster-growing ladder with fewer levels.
-Sample vectors have prime length p; numpy's FFT transforms them in O(p log p),
-a shift level's d' vectors as one block, which costs far less per vector.
+Sample vectors have prime length p. A shift level draws its d' vectors in
+one call, with one histogram and one inverse FFT over their (d', p) block,
+and numpy's FFT transforms the block: far cheaper per vector than a call
+per vector.
 Accepted modes are subtracted from all later samples; the loop ends when
 s modes are found or the iteration budget runs out (the all-axes-collision
 case this library does not attempt to untangle).
@@ -17,7 +19,6 @@ case this library does not attempt to untangle).
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -159,17 +160,21 @@ def recover(
     weighed = 0
     n_found = 0
     samples_used = 0
-    streams = itertools.count()
+    stream = 0
     i = 0
 
     def draw(row_weights):
-        """A counted, timed sample vector on this iteration's line, with the next noise stream."""
-        nonlocal samples_used, sample_seconds
+        """Counted, timed sample vectors of length p on this iteration's line:
+        one for a weight vector, r for an (r, n) block, on the next r noise streams."""
+        nonlocal samples_used, sample_seconds, stream
+        rows = len(row_weights) if row_weights.ndim == 2 else 1
+        plan = SamplePlan(p=rows * p, stream=stream)
         t0 = time.perf_counter()
-        vector = gather_unwrapped(index, row_weights, SamplePlan(p=p, stream=next(streams)), noise)
+        values = gather_unwrapped(index, row_weights, plan, noise)
         sample_seconds += time.perf_counter() - t0
-        samples_used += p
-        return vector
+        stream += rows
+        samples_used += plan.p
+        return values
 
     while n_found < config.s and i < max_outer:
         s_star = config.s - n_found
@@ -188,9 +193,9 @@ def recover(
 
         # Each shift level first weighs the unweighed rows at its shift, from
         # the (d', n) transpose that gives one row per shift axis, then draws
-        # its d' vectors one by one from the rows' stored weights at that
-        # level and axis, and transforms their (d', p) block with one FFT. A
-        # bin failing the collision test on any axis gets the level's vote. An
+        # its d' vectors in one call, as a (d', p) block from the rows' stored
+        # weights at that level, and transforms the block with one FFT. A bin
+        # failing the collision test on any axis gets the level's vote. An
         # empty bin fails every level, so its M+1 votes (eta < 1) reject it;
         # its phases read 0.
         votes = np.zeros(s_star, dtype=np.int64)
@@ -200,7 +205,7 @@ def recover(
             t0 = time.perf_counter()
             weights[alpha, :, weighed:n_rows] = shift_weights(coeffs_all[weighed:], freqs_t, eps)
             sample_seconds += time.perf_counter() - t0
-            block = np.array([draw(w) for w in weights[alpha, :, :n_rows]])
+            block = draw(weights[alpha, :, :n_rows])
             passed, phases[alpha] = shift_ratio(Fu, dft_forward(block)[:, bins], tau)
             votes += ~passed.all(axis=0)
         weighed = n_rows

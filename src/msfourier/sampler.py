@@ -21,10 +21,10 @@ and shift size, for all d' shift axes at once. It reduces each phase w eps
 modulo 1 from the exact product of float64 w and eps
 (``estimator._frac_product``): at the largest shifts |w eps| can pass 2^53,
 where the rounded product has no fractional bit left. ``recovery.recover``
-keeps its residual rows' weights from one outer iteration to the next, so
-``gather_unwrapped`` costs one ``bincount`` over the interleaved real and
-imaginary parts of the weights, one inverse FFT and one noise draw per
-vector.
+keeps its residual rows' weights from one outer iteration to the next and
+draws a shift level's d' vectors in one call, so ``gather_unwrapped`` costs
+one ``bincount`` over the interleaved real and imaginary parts of a block of
+weight rows, one inverse FFT over the block, and one noise draw per vector.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64) of ``spectrum._key64``,
@@ -83,10 +83,12 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Length p of one sample vector and the tag of its noise stream.
+    """The number p of samples one call draws and the tag of its noise stream.
 
-    Callers gathering repeatedly must use distinct ``stream`` tags to draw
-    independent noise per vector. Both are Python or numpy integers, not bools.
+    A call drawing r vectors draws them of length p/r, vector k on stream
+    ``stream + k``. Callers gathering repeatedly must use distinct stream tags
+    to draw independent noise per vector. Both are Python or numpy integers,
+    not bools.
     """
 
     p: int
@@ -167,33 +169,46 @@ def shift_weights(coeffs: np.ndarray, freqs_t: np.ndarray, eps: float) -> np.nda
 def _synthesize(index: np.ndarray, weights: np.ndarray, plan: SamplePlan) -> np.ndarray:
     """values[l] = sum_j w_j exp(2 pi i r_j l / p) for the line ``index``.
 
+    ``weights`` is one weight vector of n entries, giving one vector of length
+    p = plan.p, or an (r, n) block, giving r vectors of length p = plan.p / r.
     Modes sharing a residue add up in one bin, so the sum is the unscaled
-    inverse DFT of the weighted residue histogram. One ``bincount`` over
-    the (re, im) pairs of the weights fills the real and imaginary bins of
-    each residue, in the order two separate bincounts would.
+    inverse DFT of the weighted residue histogram. One ``bincount`` over the
+    (re, im) pairs of the weights, with row k's bins offset by 2 p k, fills
+    the real and imaginary bins of each residue of each row, in the order two
+    separate bincounts per row would.
     """
     weights = np.ascontiguousarray(weights, dtype=np.complex128)
-    if weights.shape != (len(index),):
-        raise ValueError(f"weights of shape {weights.shape} do not match {len(index)} modes")
-    hist = np.bincount(index.ravel(), weights.view(np.float64), 2 * plan.p)
-    if hist.size != 2 * plan.p:
-        raise ValueError(f"line index holds residues past p={plan.p}")
-    return plan.p * np.fft.ifft(hist.view(np.complex128))
+    rows = len(weights) if weights.ndim == 2 else 1
+    if weights.shape[-1:] != (len(index),) or weights.ndim > 2 or not rows or plan.p % rows:
+        raise ValueError(
+            f"weights of shape {weights.shape} do not match {len(index)} modes and p={plan.p}"
+        )
+    p = plan.p // rows
+    # A bin outside row 0's [0, 2p) would land in another row's bins unseen.
+    if index.size and (index.min() < 0 or index.max() >= 2 * p):
+        raise ValueError(f"line index holds residues past p={p}")
+    bins = index.reshape(1, -1) + 2 * p * np.arange(rows)[:, None]
+    hist = np.bincount(bins.ravel(), weights.view(np.float64).ravel(), 2 * plan.p)
+    return p * np.fft.ifft(hist.view(np.complex128).reshape(weights.shape[:-1] + (p,)))
 
 
 def gather_unwrapped(
     index: np.ndarray, weights: np.ndarray, plan: SamplePlan, noise: NoiseModel
 ) -> np.ndarray:
-    """Sample vector from pre-unwrapped modes: a line index and their weights.
+    """Sample vectors from pre-unwrapped modes: a line index and their weights.
 
-    ``index`` is ``line_index(freqs, axis, plan.p)`` of the (n, d')
-    unwrapped frequencies along the sampled axis; ``weights`` are the
-    coefficients, or for a shifted vector ``shift_weights`` at its shift
-    axis and size. Residual subtraction is expressed by appending residual
-    modes with negated coefficients.
+    ``index`` is ``line_index(freqs, axis, p)`` of the (n, d') unwrapped
+    frequencies along the sampled axis; ``weights`` are the coefficients, or
+    for a shifted vector ``shift_weights`` at its shift axis and size.
+    Residual subtraction is expressed by appending residual modes with
+    negated coefficients. A weight vector gives one vector of length
+    p = plan.p; an (r, n) block of weight rows gives an (r, p) block with
+    p = plan.p / r, row k drawing its noise from stream ``plan.stream + k``:
+    the same values, bit for bit, as r calls with one row each.
     """
     values = _synthesize(index, weights, plan)
     if noise.sigma:
-        values = values + noise_vector(noise, plan.stream, plan.p)
+        p = values.shape[-1]
+        for k, row in enumerate(values.reshape(-1, p)):
+            row += noise_vector(noise, int(plan.stream) + k, p)
     return values
-

@@ -36,9 +36,11 @@ def test_tracer_wraps_every_layer():
         traced, _ = tracer.run(0, recover, cfg, truth)
     assert traced == plain
     summary = tracer.summary(0)
-    # the plan lengths of the gathered vectors add up to the sample count,
-    # and every gathered vector is synthesized once
+    # the plan lengths of the gather calls add up to the sample count, every
+    # sample draws noise (a block drawing noise for only some of its rows
+    # fails here), and every gather call synthesizes once
     assert summary["sampler.gather"]["work"] == traced.samples_used
+    assert summary["sampler.noise"]["work"] == traced.samples_used
     assert summary["sampler.synth"]["calls"] == summary["sampler.gather"]["calls"]
     # every wrapped name is called: the FFT layer is numpy's own transform,
     # bound under the name the tracer wraps

@@ -416,9 +416,10 @@ LADDER_CHANGES = dict(N=20, d=10, d1=5, s=128, sigma=0.512, seed=7)
 
 
 def test_gather_calls_match_sample_accounting(monkeypatch):
-    # one gather_unwrapped call per sample vector, each with its own plan:
-    # the plans' lengths add up to samples_used, and every outer iteration
-    # gathers one unshifted and (M+1) d' shifted vectors at its own ladder
+    # one gather_unwrapped call per draw, each plan counting the samples it
+    # draws: the plans' lengths add up to samples_used, and every outer
+    # iteration gathers one unshifted vector and, in one call per level of
+    # its own ladder, d' shifted ones
     truth = random_spectrum(20, 10, 128, 3)
     cfg = RecoveryConfig(**LADDER_CHANGES)
     lengths = []
@@ -435,7 +436,7 @@ def test_gather_calls_match_sample_accounting(monkeypatch):
     assert len(ladders[0][1]) - 1 == 12 and len(ladders[-1][1]) - 1 == len(longest) - 1 == 17
     assert sum(lengths) == res.samples_used
     d_red = cfg.umap.reduced_dim
-    assert lengths == [p for p, shifts in ladders for _ in range(1 + d_red * len(shifts))]
+    assert lengths == [n for p, shifts in ladders for n in [p] + [d_red * p] * len(shifts)]
 
 
 def test_shift_weights_once_per_row_and_level(monkeypatch):
@@ -471,7 +472,8 @@ def test_shift_weights_once_per_row_and_level(monkeypatch):
 
 def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):
     # at the headline size the first iteration's p = 521 admits growth 4.36
-    # and 11 levels, not the 17 of growth beta: it draws 1 + 20 * 12 vectors
+    # and 11 levels, not the 17 of growth beta: it draws 1 + 20 * 12 vectors,
+    # the unshifted one alone and each level's 20 in one call
     truth = random_spectrum(20, 100, 256, 0)
     cfg = RecoveryConfig(N=20, d=100, d1=5, s=256, sigma=0.512, seed=0)
     assert len(cfg.schedule(1)[2]) - 1 == 17
@@ -483,8 +485,8 @@ def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):
 
     monkeypatch.setattr(recovery, "gather_unwrapped", counted)
     res = recover(cfg, truth)
-    first = 1 + 20 * 12
-    assert lengths[:first] == [521] * first and lengths[first] != 521
+    first = [521] + [20 * 521] * 12
+    assert lengths[: len(first)] == first and lengths[len(first)] != 521
     assert sum(lengths) == res.samples_used
 
 

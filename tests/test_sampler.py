@@ -167,6 +167,58 @@ def test_synthesize_weight_layouts():
         _synthesize(line_index(freqs, 1, 37), column, plan)
 
 
+def test_synthesize_block_refusals():
+    # an (r, n) block draws r vectors of length plan.p / r: a plan that is not
+    # r such vectors is refused, and so is a residue past row 0's bins, which
+    # would otherwise land in the next row's bins unseen
+    rng = np.random.default_rng(10)
+    p, n, rows = 31, 50, 3
+    freqs = rng.integers(-100, 100, size=(n, 2))
+    index = line_index(freqs, 1, p)
+    block = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    for weights, plan_p in ((block, rows * p + 1), (block[:0], p), (block[None], rows * p)):
+        with pytest.raises(ValueError, match="do not match"):
+            _synthesize(index, weights, SamplePlan(p=plan_p))
+    assert np.any(freqs[:, 0] % 37 >= p)
+    with pytest.raises(ValueError, match="past p"):
+        _synthesize(line_index(freqs, 1, 37), block, SamplePlan(p=rows * p))
+
+
+BLOCK_NOISE = [
+    SILENT,
+    NoiseModel(sigma=0.5, seed=5),
+    NoiseModel(sigma=0.5, seed=5, kind="real-only"),
+]
+
+
+@pytest.mark.parametrize("noise", BLOCK_NOISE)
+@pytest.mark.parametrize(
+    "rows,p,stream", [(1, 131, 0), (4, 521, 9), (3, 2, 2**40), (7, 131, np.uint64(2**64 - 1))]
+)
+def test_block_gather_equals_per_row_calls(noise, rows, p, stream):
+    # one call on a level's (r, n) block of weight rows, strided as recover
+    # slices it from its wider weight array, draws bit for bit the r vectors
+    # of r one-row calls on consecutive streams; the stream tags add up in
+    # Python ints and key mod 2^64, with no numpy overflow
+    rng = np.random.default_rng(rows * p)
+    n = 60
+    freqs = rng.integers(-(10**6), 10**6, size=(n, 3))
+    index = line_index(freqs, 2, p)
+    wide = rng.standard_normal((3, rows, n + 17)) + 1j * rng.standard_normal((3, rows, n + 17))
+    block = wide[1, :, :n]
+    assert rows == 1 or not block.flags.c_contiguous
+    got = gather_unwrapped(index, block, SamplePlan(p=rows * p, stream=stream), noise)
+    expected = [
+        gather_unwrapped(index, row, SamplePlan(p=p, stream=int(stream) + k), noise)
+        for k, row in enumerate(block)
+    ]
+    assert got.shape == (rows, p)
+    np.testing.assert_array_equal(got, np.array(expected))
+    if int(stream) + rows > 2**64:
+        wrapped = gather_unwrapped(index, block[1], SamplePlan(p=p, stream=0), noise)
+        np.testing.assert_array_equal(got[1], wrapped)
+
+
 def test_zero_sigma_is_exactly_noiseless():
     assert noise_vector(SILENT, 0, 6)[5] == 0j
     np.testing.assert_array_equal(noise_vector(SILENT, 3, 11), np.zeros(11))
