@@ -165,7 +165,8 @@ def recover(
 
     def draw(row_weights):
         """Counted, timed sample vectors of length p on this iteration's line:
-        one for a weight vector, r for an (r, n) block, on the next r noise streams."""
+        one for a weight vector, r for an (r, n) block, with one noise draw on
+        the next stream tag; the tag advances by r, so tags stay distinct."""
         nonlocal samples_used, sample_seconds, stream
         rows = len(row_weights) if row_weights.ndim == 2 else 1
         plan = SamplePlan(p=rows * p, stream=stream)

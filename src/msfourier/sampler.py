@@ -24,22 +24,19 @@ where the rounded product has no fractional bit left. ``recovery.recover``
 keeps its residual rows' weights from one outer iteration to the next and
 draws a shift level's d' vectors in one call, so ``gather_unwrapped`` costs
 one ``bincount`` over the interleaved real and imaginary parts of a block of
-weight rows, one inverse FFT over the block, and one noise draw per vector.
+weight rows, one inverse FFT over the block, and one noise draw.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64) of ``spectrum._key64``,
 which reduces a Python or numpy integer alike, so a numpy integer keys as
-the Python int does. One run is exactly reproducible while re-sampling a point
-in a later iteration (fresh tag) sees fresh noise. Each thread keeps one
-Philox generator and re-keys it per vector (key set, counter and buffer
-reset), which draws the same numbers as a freshly built generator at a
-fraction of the cost.
+the Python int does. A call draws all its samples from one stream, so one
+run is exactly reproducible while re-sampling a point in a later iteration
+(fresh tag) sees fresh noise.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +82,10 @@ class NoiseModel:
 class SamplePlan:
     """The number p of samples one call draws and the tag of its noise stream.
 
-    A call drawing r vectors draws them of length p/r, vector k on stream
-    ``stream + k``. Callers gathering repeatedly must use distinct stream tags
-    to draw independent noise per vector. Both are Python or numpy integers,
-    not bools.
+    A call drawing r vectors draws them of length p/r, with one noise draw of
+    p on the stream. Callers gathering repeatedly must use distinct stream
+    tags to draw independent noise per call. Both are Python or numpy
+    integers, not bools.
     """
 
     p: int
@@ -101,44 +98,16 @@ class SamplePlan:
             raise ValueError(f"stream must be an integer, got {self.stream!r}")
 
 
-_local = threading.local()
-
-
-def _normals(seed: int, stream: int, count: int) -> np.ndarray:
-    """The first ``count`` normals of Generator(Philox(key=[seed, stream]))."""
-    rng = getattr(_local, "rng", None)
-    if rng is None:
-        rng = _local.rng = np.random.Generator(np.random.Philox())
-        # The setter copies every field, so one dict serves every re-keying:
-        # only the key changes; counter 0 and an empty buffer stay as built.
-        _local.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.zeros(2, dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    state = _local.state
-    key = state["state"]["key"]
-    key[0] = _key64(seed)
-    key[1] = _key64(stream)
-    rng.bit_generator.state = state
-    return rng.standard_normal(count)
-
-
 def noise_vector(noise: NoiseModel, stream: int, p: int) -> np.ndarray:
-    """p noise draws for one sample vector, deterministic in (seed, stream).
+    """p noise draws for one gather call, deterministic in (seed, stream).
 
     Draw 2l and 2l+1 of the underlying normal stream feed position l, so a
     prefix of the vector never depends on p.
     """
     if noise.sigma == 0:
         return np.zeros(p, dtype=np.complex128)
-    draws = _normals(noise.seed, stream, 2 * p)
+    key = np.array([_key64(noise.seed), _key64(stream)], dtype=np.uint64)
+    draws = np.random.Generator(np.random.Philox(key=key)).standard_normal(2 * p)
     if noise.kind == "complex-circular":
         # (draw 2l, draw 2l+1) is the memory layout of one complex128.
         return noise.sigma / np.sqrt(2.0) * draws.view(np.complex128)
@@ -151,6 +120,8 @@ def line_index(freqs: np.ndarray, axis: int, p: int) -> np.ndarray:
     Row j is (2 r_j, 2 r_j + 1) with r_j = freqs[j, axis] mod p: the bins of
     the real and imaginary part of residue r_j in an interleaved histogram.
     """
+    if not 1 <= axis <= freqs.shape[1] or p < 1:
+        raise ValueError(f"need axis in 1..{freqs.shape[1]} and p >= 1, got axis={axis}, p={p}")
     residues = freqs[:, axis - 1] % p
     return 2 * residues[:, None] + np.array([0, 1], dtype=np.int64)
 
@@ -203,12 +174,10 @@ def gather_unwrapped(
     Residual subtraction is expressed by appending residual modes with
     negated coefficients. A weight vector gives one vector of length
     p = plan.p; an (r, n) block of weight rows gives an (r, p) block with
-    p = plan.p / r, row k drawing its noise from stream ``plan.stream + k``:
-    the same values, bit for bit, as r calls with one row each.
+    p = plan.p / r. Its noise is ``noise_vector(noise, plan.stream, plan.p)``
+    in row order, so row 0 gets the noise of a one-row call on the stream.
     """
     values = _synthesize(index, weights, plan)
     if noise.sigma:
-        p = values.shape[-1]
-        for k, row in enumerate(values.reshape(-1, p)):
-            row += noise_vector(noise, int(plan.stream) + k, p)
+        values += noise_vector(noise, plan.stream, plan.p).reshape(values.shape)
     return values

@@ -646,8 +646,8 @@ def test_single_axis_noisy_never_converges_wrong():
             assert compare(truth, res.modes).exact_freq_rate == 1.0, seed
 
 
-# The one converged-but-wrong run of the random slice below (2 missed and 2
-# spurious modes).
+# The one converged-but-wrong run of the random slice below (1 missed and 1
+# spurious mode).
 SLICE_WRONG_RUN = (8, 3, 1, 8, 0.5, 1.0, 1318390688)
 
 
@@ -655,16 +655,18 @@ SLICE_WRONG_RUN = (8, 3, 1, 8, 0.5, 1.0, 1318390688)
 # residue check; at small p with noise tau lets them pass the collision
 # vote too, and their blended phases round to an in-range row that is not
 # a mode. Each run reports convergence with wrong modes at the stated sigma
-# (1 missed and 1 spurious; 2 and 2 in the second). The third and fourth
-# came from a random grid of N, d, d1 | d, s, sigma and a_min, with every
-# third coefficient scaled by a_min, and the fifth from the slice below. A
+# (1 missed and 1 spurious; 2 and 2 in the second). The first is the first
+# wrong seed of its cell scanned from seed 0 (77 of the 2,635 runs that
+# converge over seeds 0-2999 are wrong). The third and fourth came from a
+# random grid of N, d, d1 | d, s, sigma and a_min, with every third
+# coefficient scaled by a_min, and the fifth from the slice below. A
 # phase-consistency check would catch them, and these tests then pass and
 # lose their marks.
 @pytest.mark.xfail(strict=True, reason="merged modes converge wrong at the stated sigma")
 @pytest.mark.parametrize(
     "N, d, d1, s, sigma, a_min, seed",
     [
-        (20, 2, 1, 12, 0.5, 1.0, 1978043455),
+        (20, 2, 1, 12, 0.5, 1.0, 53),
         (8, 3, 1, 9, 1.0, 1.0, 1092047923),
         (8, 3, 1, 8, 0.1, 0.3, 287508809),
         (4, 4, 2, 8, 0.5, 1.0, 2137464937),
@@ -714,7 +716,7 @@ def test_hunt_script_counts_and_reports_wrong_runs(monkeypatch, capsys):
     assert hunt.main(["--seed", "14", "--runs", "1"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
         "wrong: N=8 d=3 d1=1 s=8 sigma=0.5 a_min=1.0 seed=1318390688 understate=1 beta=2.5 "
-        "(2 missed, 2 spurious)"
+        "(1 missed, 1 spurious)"
     )
 
 

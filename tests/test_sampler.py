@@ -122,6 +122,15 @@ def test_line_index_layout():
     assert line_index(np.empty((0, 2), dtype=np.int64), 1, 5).shape == (0, 2)
 
 
+@pytest.mark.parametrize("axis, p", [(0, 7), (-1, 7), (3, 7), (1, 0), (2, -5)])
+def test_line_index_refuses_bad_axis_and_length(axis, p):
+    # the axis is 1-based over the d' columns: 0 and -1 would pick a column
+    # from the end, and 3 is past them; p < 1 has no residues
+    freqs = np.array([[-7, 3], [12, 0], [5, -1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="axis"):
+        line_index(freqs, axis, p)
+
+
 def test_shift_weights_rows_equal_single_axis():
     # each weight carries the phase (w eps) mod 1 to within 2^-53 cycles of
     # its exact rational value, and a row of the (d', n) block is bit for bit
@@ -197,9 +206,10 @@ BLOCK_NOISE = [
 )
 def test_block_gather_equals_per_row_calls(noise, rows, p, stream):
     # one call on a level's (r, n) block of weight rows, strided as recover
-    # slices it from its wider weight array, draws bit for bit the r vectors
-    # of r one-row calls on consecutive streams; the stream tags add up in
-    # Python ints and key mod 2^64, with no numpy overflow
+    # slices it from its wider weight array, synthesizes bit for bit the r
+    # vectors of r one-row calls, and adds one noise draw of r p on its own
+    # stream in row order, so row 0 is the one-row call on that stream; the
+    # tag keys mod 2^64, with no numpy overflow
     rng = np.random.default_rng(rows * p)
     n = 60
     freqs = rng.integers(-(10**6), 10**6, size=(n, 3))
@@ -207,16 +217,20 @@ def test_block_gather_equals_per_row_calls(noise, rows, p, stream):
     wide = rng.standard_normal((3, rows, n + 17)) + 1j * rng.standard_normal((3, rows, n + 17))
     block = wide[1, :, :n]
     assert rows == 1 or not block.flags.c_contiguous
-    got = gather_unwrapped(index, block, SamplePlan(p=rows * p, stream=stream), noise)
-    expected = [
-        gather_unwrapped(index, row, SamplePlan(p=p, stream=int(stream) + k), noise)
-        for k, row in enumerate(block)
-    ]
+    plan = SamplePlan(p=rows * p, stream=stream)
+    got = gather_unwrapped(index, block, plan, noise)
     assert got.shape == (rows, p)
-    np.testing.assert_array_equal(got, np.array(expected))
-    if int(stream) + rows > 2**64:
-        wrapped = gather_unwrapped(index, block[1], SamplePlan(p=p, stream=0), noise)
-        np.testing.assert_array_equal(got[1], wrapped)
+    if not noise.sigma:
+        expected = [gather_unwrapped(index, row, SamplePlan(p=p), noise) for row in block]
+        np.testing.assert_array_equal(got, np.array(expected))
+        return
+    noise_block = noise_vector(noise, stream, rows * p).reshape(rows, p)
+    np.testing.assert_array_equal(got, _synthesize(index, block, plan) + noise_block)
+    row0 = gather_unwrapped(index, block[0], SamplePlan(p=p, stream=stream), noise)
+    np.testing.assert_array_equal(got[0], row0)
+    if int(stream) >= 2**63:
+        wrapped = gather_unwrapped(index, block, SamplePlan(p=rows * p, stream=-1), noise)
+        np.testing.assert_array_equal(got, wrapped)
 
 
 def test_zero_sigma_is_exactly_noiseless():
@@ -254,8 +268,8 @@ NOISE_CASES = [
 
 
 def test_noise_matches_fresh_generator_interleaved():
-    # keys, kinds and lengths change from call to call, so each call must
-    # fully re-key the generator it reuses
+    # keys, kinds and lengths change from call to call, and each call draws
+    # exactly what a generator built for its own key draws
     order = np.random.default_rng(12).permutation(len(NOISE_CASES))
     for i in order:
         noise, stream, p = NOISE_CASES[i]
@@ -265,6 +279,7 @@ def test_noise_matches_fresh_generator_interleaved():
 
 
 def test_noise_matches_fresh_generator_in_second_thread():
+    # two threads drawing at once each get their own key's draws
     results = {}
 
     def draw(tag, cases):
