@@ -8,13 +8,12 @@ entry's phase and the bin's collision vote (``estimator.shift_ratio``).
 Each iteration's plan, p, tau and the shift ladder, follows the remaining
 sparsity s* (``RecoveryConfig.schedule``): the ladder follows p, and at
 sigma > 0 a longer p admits a faster-growing ladder with fewer levels.
-Sample vectors have prime length p. A shift level draws its d' vectors in
-one call, with one histogram and one inverse FFT over their (d', p) block,
-and numpy's FFT transforms the block: far cheaper per vector than a call
-per vector.
-Accepted modes are subtracted from all later samples; the loop ends when
-s modes are found or the iteration budget runs out (the all-axes-collision
-case this library does not attempt to untangle).
+A shift level draws its d' vectors in one call and one FFT. The samples
+come from the truth alone: the residual is their DFT with the modes found
+so far peeled off the bins where they land, the bin-domain update of
+Hassanieh, Indyk, Katabi and Price (STOC 2012). The loop ends when s modes
+are found or the iteration budget runs out (the all-axes-collision case
+this library does not attempt to untangle).
 """
 
 from __future__ import annotations
@@ -114,6 +113,10 @@ class RecoveryConfig:
 
 @dataclass
 class RecoveryResult:
+    """``recover``'s output: the found ``modes`` in found order, ``samples_used``,
+    ``outer_iterations``, ``converged`` (s modes found) and ``sample_seconds``,
+    the time spent sampling and weighing the truth (not compared by ``==``)."""
+
     modes: SparseSpectrum
     samples_used: int
     outer_iterations: int
@@ -127,8 +130,8 @@ def recover(
     """Recover the modes of ``truth`` from noisy point samples.
 
     ``truth`` is the sampling oracle: the algorithm only sees point values
-    f(g(t)) + noise. When ``noise`` is None a complex-circular model with
-    the config's sigma and seed is used.
+    f(g(t)) + noise, and peels what it finds off their DFT. When ``noise``
+    is None a complex-circular model with the config's sigma and seed is used.
     """
     if truth.dim != config.d or truth.bandwidth != config.N:
         raise ValueError(
@@ -142,23 +145,13 @@ def recover(
     d_red = umap.reduced_dim
     max_outer = config.max_outer_iterations or 10 * d_red
 
-    # The residual: the truth's unwrapped rows, then each found mode's row
-    # with its coefficient negated, in the order the modes were found. The
-    # first ``weighed`` rows hold their weights (level, shift axis, row) at
-    # the current ladder ``shifts``. Each iteration weighs the rest, and a
-    # ladder change starts over from row 0, so a row is weighed once per
-    # ladder it is sampled under. The array is allocated once, with room for
-    # s found rows and the levels of s* = 1's ladder, the longest any
-    # iteration climbs: p only falls as s* falls, and a shorter p admits no
-    # faster growth. (M+1) d' (n_truth+s) 16 bytes.
-    n_truth = len(truth)
-    freqs_all = unwrap_freq(truth.freqs, umap)
-    coeffs_all = truth.coeffs
-    longest = len(config.schedule(1)[2])
-    weights = np.empty((longest, d_red, n_truth + config.s), dtype=np.complex128)
+    # The oracle holds the truth's unwrapped rows alone; each ladder's first
+    # iteration fills their weights (level, shift axis, row) at its shifts.
+    freqs = unwrap_freq(truth.freqs, umap)
+    freqs_t = np.ascontiguousarray(freqs.T, dtype=np.float64)
+    found = np.empty((0, d_red), dtype=np.int64)
+    found_coeffs = np.empty(0, dtype=np.complex128)
     sample_seconds = 0.0
-    weighed = 0
-    n_found = 0
     samples_used = 0
     stream = 0
     i = 0
@@ -177,39 +170,49 @@ def recover(
         samples_used += plan.p
         return values
 
-    while n_found < config.s and i < max_outer:
-        s_star = config.s - n_found
+    while len(found) < config.s and i < max_outer:
+        s_star = config.s - len(found)
         p, tau, ladder = config.schedule(s_star)
-        n_rows = n_truth + n_found
         k_tilde = (i % d_red) + 1
         if i == 0 or not np.array_equal(ladder, shifts):
-            shifts, weighed = ladder, 0
+            shifts = ladder
+            t0 = time.perf_counter()
+            weights = None  # free the last ladder's weights before the next fill
+            weights = np.empty((len(shifts), d_red, len(freqs)), dtype=np.complex128)
+            for alpha, eps in enumerate(shifts.tolist()):
+                weights[alpha] = shift_weights(truth.coeffs, freqs_t, eps)
+            sample_seconds += time.perf_counter() - t0
         M = len(shifts) - 1
 
-        # Every vector of this iteration lies on the line along k~.
-        index = line_index(freqs_all, k_tilde, p)
-        F0 = dft_forward(draw(coeffs_all))
+        # Every vector of this iteration lies on the line along k~. A found
+        # mode (w, a) adds exactly p a exp(2 pi i w[k] eps) to bin w[k~] mod p
+        # of the vector shifted by eps along axis k (p a unshifted), so the
+        # found modes are peeled there: from every bin before the ranking,
+        # then from each level's block where they land in a ranked bin.
+        index = line_index(freqs, k_tilde, p)
+        residues = found[:, k_tilde - 1] % p
+        F0 = dft_forward(draw(truth.coeffs))
+        np.subtract.at(F0, residues, p * found_coeffs)
         bins = top_bins(F0, s_star)
         Fu = F0[bins]
+        ranked = np.zeros(p, dtype=bool)
+        ranked[bins] = True
+        landed = ranked[residues]
+        landed_t, residues = found[landed].T.astype(np.float64), residues[landed]
+        peeled = p * found_coeffs[landed]
 
-        # Each shift level first weighs the unweighed rows at its shift, from
-        # the (d', n) transpose that gives one row per shift axis, then draws
-        # its d' vectors in one call, as a (d', p) block from the rows' stored
-        # weights at that level, and transforms the block with one FFT. A bin
-        # failing the collision test on any axis gets the level's vote. An
-        # empty bin fails every level, so its M+1 votes (eta < 1) reject it;
-        # its phases read 0.
+        # Each shift level draws its d' vectors in one call, as a (d', p)
+        # block from the truth's weights at that level, and transforms the
+        # block with one FFT. A bin failing the collision test on any axis
+        # gets the level's vote. An empty bin fails every level, so its M+1
+        # votes (eta < 1) reject it; its phases read 0.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
-        freqs_t = np.ascontiguousarray(freqs_all[weighed:].T, dtype=np.float64)
         for alpha, eps in enumerate(shifts.tolist()):
-            t0 = time.perf_counter()
-            weights[alpha, :, weighed:n_rows] = shift_weights(coeffs_all[weighed:], freqs_t, eps)
-            sample_seconds += time.perf_counter() - t0
-            block = draw(weights[alpha, :, :n_rows])
-            passed, phases[alpha] = shift_ratio(Fu, dft_forward(block)[:, bins], tau)
+            Fs = dft_forward(draw(weights[alpha]))
+            np.subtract.at(Fs, (slice(None), residues), shift_weights(peeled, landed_t, eps))
+            passed, phases[alpha] = shift_ratio(Fu, Fs[:, bins], tau)
             votes += ~passed.all(axis=0)
-        weighed = n_rows
         final = np.rint(reconstruct_entry(shifts, phases)).astype(np.int64)
         # An entry outside [lo, hi] is not an unwrapped frequency: junk. A
         # single mode in bin m has w'[k~] = m mod p; an entry that does not
@@ -223,22 +226,20 @@ def recover(
         cands = final[:, kept].T
         # Each key's first row among the found rows followed by the candidates,
         # in top_bins' rank, wins: the candidate rows that win are the new modes.
-        rows = np.concatenate([freqs_all[n_truth:], cands])
-        _, first = np.unique(_row_keys(rows), return_index=True)
+        n_found = len(found)
+        _, first = np.unique(_row_keys(np.concatenate([found, cands])), return_index=True)
         new = np.sort(first[first >= n_found]) - n_found
-        freqs_all = np.concatenate([freqs_all, cands[new]])
-        coeffs_all = np.concatenate([coeffs_all, -coeffs[new]])
-        n_found += len(new)
+        found = np.concatenate([found, cands[new]])
+        found_coeffs = np.concatenate([found_coeffs, coeffs[new]])
         i += 1
 
     # Every found row lies in [lo, hi], so every one rewraps.
+    modes = SparseSpectrum.from_arrays(rewrap_freq(found, umap), found_coeffs, config.N, config.d)
     return RecoveryResult(
-        modes=SparseSpectrum.from_arrays(
-            rewrap_freq(freqs_all[n_truth:], umap), -coeffs_all[n_truth:], config.N, config.d
-        ),
+        modes=modes,
         samples_used=samples_used,
         outer_iterations=i,
-        converged=n_found == config.s,
+        converged=len(found) == config.s,
         sample_seconds=sample_seconds,
     )
 

@@ -7,12 +7,11 @@ by eps along axis k, plus noise:
     values[l] = sum_j a_j exp(2 pi i (w_j[k~] l / p + w_j[k] eps)) + n_l.
 
 The modes (w_j, a_j) are the unwrapped frequencies of the composed signal
-f(g(t)) and their coefficients (see ``unwrap``); the residual of the
-peeling loop is the same sum with the found modes appended under negated
-coefficients. Because the sample points have at most two nonzero
-coordinates, the sum collapses to a histogram of the residues w_j[k~] mod
-p, weighted by a_j exp(2 pi i w_j[k] eps), followed by one inverse FFT of
-length p.
+f(g(t)) and their coefficients (see ``unwrap``): the truth's alone, as
+``recovery.recover`` peels what it finds off the vectors' DFT. Because the
+sample points have at most two nonzero coordinates, the sum collapses to a
+histogram of the residues w_j[k~] mod p, weighted by a_j exp(2 pi i w_j[k]
+eps), followed by one inverse FFT of length p.
 
 The residues depend only on the line (axis k~ and p) and the shift phases
 only on the shift (axis k and eps), so they are built apart from the
@@ -21,10 +20,10 @@ and shift size, for all d' shift axes at once. It reduces each phase w eps
 modulo 1 from the exact product of float64 w and eps
 (``estimator._frac_product``): at the largest shifts |w eps| can pass 2^53,
 where the rounded product has no fractional bit left. ``recovery.recover``
-keeps its residual rows' weights from one outer iteration to the next and
-draws a shift level's d' vectors in one call, so ``gather_unwrapped`` costs
-one ``bincount`` over the interleaved real and imaginary parts of a block of
-weight rows, one inverse FFT over the block, and one noise draw.
+weighs the truth's modes once per shift ladder and draws a shift level's
+d' vectors in one call, so ``gather_unwrapped`` costs one ``bincount`` over
+the interleaved real and imaginary parts of a block of weight rows, one
+inverse FFT over the block, and one noise draw.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64) of ``spectrum._key64``,
@@ -170,12 +169,12 @@ def gather_unwrapped(
 
     ``index`` is ``line_index(freqs, axis, p)`` of the (n, d') unwrapped
     frequencies along the sampled axis; ``weights`` are the coefficients, or
-    for a shifted vector ``shift_weights`` at its shift axis and size.
-    Residual subtraction is expressed by appending residual modes with
-    negated coefficients. A weight vector gives one vector of length
-    p = plan.p; an (r, n) block of weight rows gives an (r, p) block with
-    p = plan.p / r. Its noise is ``noise_vector(noise, plan.stream, plan.p)``
-    in row order, so row 0 gets the noise of a one-row call on the stream.
+    for a shifted vector ``shift_weights`` at its shift axis and size. The
+    modes are the signal's own: ``recovery.recover`` passes the truth's
+    alone. A weight vector gives one vector of length p = plan.p; an (r, n)
+    block of weight rows gives an (r, p) block with p = plan.p / r. Its
+    noise is ``noise_vector(noise, plan.stream, plan.p)`` in row order, so
+    row 0 gets the noise of a one-row call on the stream.
     """
     values = _synthesize(index, weights, plan)
     if noise.sigma:

@@ -7,9 +7,12 @@ outer iteration cap is none or 2, and there are three seeds. Then the three
 perfbench sizes (N=20, d1=5) run once each at full scale.
 
 ``tests/corpus_expected.json`` holds each case's outputs as recorded:
-a SHA-256 of the recovered frequencies (int64, in found order), the
-coefficients, ``samples_used``, ``outer_iterations``, ``converged`` and
-whether the frequency set equals the truth's. ``tests/test_corpus.py``
+a SHA-256 of the recovered frequencies (int64 rows, in found order), one
+of the frequency set (the rows sorted), the coefficients in the sorted
+rows' order, ``samples_used``, ``outer_iterations``, ``converged`` and
+whether the frequency set equals the truth's. So a change that finds the
+same modes in another order moves ``freqs_sha256`` alone: the
+coefficients are compared matched by frequency. ``tests/test_corpus.py``
 compares a fresh run against it. A declared output change regenerates the
 file with
 
@@ -35,7 +38,9 @@ from msfourier.cli import random_spectrum
 EXPECTED = Path(__file__).with_name("corpus_expected.json")
 
 # Recorded fields compared exactly; the coefficients are compared within 1e-12.
-INTEGERS = ("freqs_sha256", "modes", "samples_used", "outer_iterations", "converged", "exact")
+INTEGERS = (
+    "freqs_sha256", "set_sha256", "modes", "samples_used", "outer_iterations", "converged", "exact"
+)
 
 # (N, d, d1, s, sigma) at full scale: perfbench's headline, wide_d and many_modes.
 PERFBENCH_SIZES = [(20, 100, 5, 256, 0.512), (20, 1000, 5, 64, 0.512), (20, 20, 5, 1024, 0.0)]
@@ -68,24 +73,27 @@ def run_case(case: dict) -> dict:
     result = recover(config, truth, NoiseModel(sigma=case["sigma"], seed=case["seed"]))
     report = compare(truth, result.modes)
     freqs = np.ascontiguousarray(result.modes.freqs, dtype="<i8")
+    by_row = np.lexsort(freqs.T[::-1])  # the rows in lexicographic order
     return {
         "freqs_sha256": hashlib.sha256(freqs.tobytes()).hexdigest(),
+        "set_sha256": hashlib.sha256(freqs[by_row].tobytes()).hexdigest(),
         "modes": len(result.modes),
         "samples_used": result.samples_used,
         "outer_iterations": result.outer_iterations,
         "converged": result.converged,
         "exact": report.missed == 0 and report.spurious == 0,
-        "coeffs": [[c.real, c.imag] for c in result.modes.coeffs.tolist()],
+        "coeffs": [[c.real, c.imag] for c in result.modes.coeffs[by_row].tolist()],
     }
 
 
 def moved_fields(got: dict, want: dict) -> list[str]:
     """The fields in which a case's outputs ``got`` differ from its record ``want``.
 
-    The coefficients are compared within 1e-12, where both hold as many:
-    numpy's SIMD exp may differ in the last bit between CPUs.
+    The coefficients, in the sorted rows' order, are compared within 1e-12
+    where both hold as many: numpy's SIMD exp may differ in the last bit
+    between CPUs.
     """
-    moved = [name for name in INTEGERS if got[name] != want[name]]
+    moved = [name for name in INTEGERS if got[name] != want.get(name)]
     if len(got["coeffs"]) == len(want["coeffs"]):
         error = np.abs(np.array(got["coeffs"]) - np.array(want["coeffs"]))
         if error.size and error.max() > 1e-12:

@@ -24,7 +24,7 @@ from msfourier import (
 )
 from msfourier.cli import cmd_recover, random_spectrum
 from msfourier.estimator import MAX_SAMPLE_LENGTH, _ladder, make_schedule
-from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
+from msfourier.sampler import SamplePlan, gather_unwrapped, line_index, shift_weights
 from msfourier.unwrap import UnwrapMap, unwrap_freq
 
 
@@ -186,21 +186,36 @@ def test_pinned_noiseless_tie_order():
 
 
 def test_peeling_soundness():
-    # after convergence, re-subtracting the found modes leaves no energy
+    # recover subtracts a found mode (w, a) where it lands: p a exp(2 pi i
+    # w[k] eps) in bin w[k~] mod p of the line along k~ shifted by eps along
+    # k. On a converged run, the truth's DFT so peeled equals the DFT of the
+    # truth's samples joined by the found modes' under negated coefficients,
+    # and leaves no energy
     truth = separable_instance(8, 2, 4, seed=900)
     cfg = RecoveryConfig(N=8, d=2, d1=1, s=4)
     res = recover(cfg, truth)
     assert res.converged
-    umap = UnwrapMap(bandwidth=8, dim=2, block=1)
-    # the found modes enter with negated coefficients, as in recover
-    freqs = np.vstack([unwrap_freq(truth.freqs, umap), unwrap_freq(res.modes.freqs, umap)])
-    coeffs = np.concatenate([truth.coeffs, -res.modes.coeffs])
-    p = 11
-    for axis in (1, 2):
-        vals = gather_unwrapped(
-            line_index(freqs, axis, p), coeffs, SamplePlan(p=p), NoiseModel(sigma=0.0)
-        )
-        assert np.max(np.abs(np.fft.fft(vals))) <= 1e-6 * p
+    rows, found = (unwrap_freq(spec.freqs, cfg.umap) for spec in (truth, res.modes))
+    joined = np.vstack([rows, found])
+    joined_coeffs = np.concatenate([truth.coeffs, -res.modes.coeffs])
+    p, silent = 11, NoiseModel(sigma=0.0)
+
+    def spectra(freqs, coeffs, axis, eps):
+        # the (d', p) DFT of the line along axis, shifted by eps along each axis
+        weights = shift_weights(coeffs, freqs.T.astype(np.float64), eps)
+        index = line_index(freqs, axis, p)
+        return np.fft.fft(gather_unwrapped(index, weights, SamplePlan(p=2 * p), silent))
+
+    # the noiseless ladder's top shift, 9.3e5: w eps runs to millions of
+    # cycles, so the phases are reduced exactly, as recover reduces them
+    top = cfg.schedule(4)[2][-1]
+    for axis, eps in product((1, 2), (0.0, top)):
+        peeled = spectra(rows, truth.coeffs, axis, eps)
+        for w, a in zip(found, res.modes.coeffs):
+            peeled[:, w[axis - 1] % p] -= p * shift_weights(a, w.astype(np.float64), eps)
+        joined_dft = spectra(joined, joined_coeffs, axis, eps)
+        assert np.max(np.abs(peeled - joined_dft)) <= 1e-12 * p
+        assert np.max(np.abs(peeled)) <= 1e-6 * p
 
 
 def test_no_duplicate_frequencies():
@@ -226,9 +241,8 @@ def test_deterministic_replay():
 
 
 def record_ladders(monkeypatch):
-    """(p, ladder) of every ``RecoveryConfig.schedule`` call, in call order.
-    ``recover`` makes one at s* = 1, which sizes its weight array, then one
-    per outer iteration."""
+    """(p, ladder) of every ``RecoveryConfig.schedule`` call, in call order:
+    ``recover`` makes one per outer iteration."""
     calls = []
 
     def recorded(self, s_star, _fn=RecoveryConfig.schedule):
@@ -256,9 +270,9 @@ def test_recover_runs_the_estimator_functions(monkeypatch):
     ladders = record_ladders(monkeypatch)
     res = recover(cfg, truth)
     assert res == plain and res.converged
-    assert calls["reconstruct_entry"] == res.outer_iterations == len(ladders) - 1
+    assert calls["reconstruct_entry"] == res.outer_iterations == len(ladders)
     # one collision verdict and phase per level of each iteration's ladder
-    assert calls["shift_ratio"] == sum(len(shifts) for _, shifts in ladders[1:])
+    assert calls["shift_ratio"] == sum(len(shifts) for _, shifts in ladders)
 
 
 def test_geometry_validation():
@@ -380,21 +394,18 @@ def test_config_schedule_is_make_schedule(s_star):
     p, tau, shifts = cfg.schedule(s_star)
     assert (p, tau) == make_schedule(s_star, cfg.sigma, cfg.a_min, cfg.c1, cfg.c_sigma, cfg.beta)
     assert shifts.tobytes() == _ladder(3368421, p, 0.512, 1.0, 5.0, 2.0).tobytes()
-    # recover allocates its weight array once, at s* = 1's ladder: no s*
-    # climbs more levels, as p only falls with s* and a shorter p admits no
-    # faster growth. On a grid of configs, each case covers the s* above
-    # the previous case's, up to its own, so together they cover 1 to 300
+    # On a grid of configs, each case covers the s* above the previous
+    # case's, up to its own, so together they cover 1 to 300
     first = max(k for k in [0] + SCHEDULE_S_STARS if k < s_star) + 1
     for sigma, a_min, c1, beta, (N, d1) in product(
         (0.0, 1e-12, 0.1, 0.512, 2.0), (1.0, 0.3), (1.0, 2.0, 3.0), (1.3, 2.5, 4.0),
         ((4, 11), (20, 5), (20, 12)),
     ):
         cfg = RecoveryConfig(N=N, d=d1, d1=d1, s=1, sigma=sigma, a_min=a_min, c1=c1, beta=beta)
-        longest = len(cfg.schedule(1)[2])
         for k in range(first, s_star + 1):
             p, _, shifts = cfg.schedule(k)
             want = _ladder(cfg.umap.eff_bandwidth, p, sigma, a_min, cfg.c_sigma, beta)
-            assert len(shifts) <= longest and shifts.tobytes() == want.tobytes()
+            assert shifts.tobytes() == want.tobytes()
             assert not shifts.flags.writeable
 
 
@@ -429,45 +440,74 @@ def test_gather_calls_match_sample_accounting(monkeypatch):
         return _fn(index, weights, plan, noise)
 
     monkeypatch.setattr(recovery, "gather_unwrapped", counted)
-    calls = record_ladders(monkeypatch)
+    ladders = record_ladders(monkeypatch)
     res = recover(cfg, truth)
-    (_, longest), *ladders = calls
     assert res.converged and len(ladders) == res.outer_iterations > 1
-    assert len(ladders[0][1]) - 1 == 12 and len(ladders[-1][1]) - 1 == len(longest) - 1 == 17
+    assert len(ladders[0][1]) - 1 == 12 and len(ladders[-1][1]) - 1 == 17
     assert sum(lengths) == res.samples_used
     d_red = cfg.umap.reduced_dim
     assert lengths == [n for p, shifts in ladders for n in [p] + [d_red * p] * len(shifts)]
 
 
-def test_shift_weights_once_per_row_and_level(monkeypatch):
-    # each residual row (truth rows and found rows) is weighed once per level
-    # of each ladder it is sampled under: an iteration weighs the rows its
-    # ladder has not weighed, all of them after a ladder change. A run of
-    # iterations that share a ladder weighs the rows alive when its last
-    # iteration starts; the last iteration's found rows are never weighed
+def test_oracle_samples_the_truth_alone(monkeypatch):
+    # every gather draws from the truth's rows and weights alone: the
+    # unshifted vector from its coefficients, each level's block from d'
+    # rows of len(truth) weights; the found modes never enter the oracle
     truth = random_spectrum(20, 10, 128, 3)
     cfg = RecoveryConfig(**LADDER_CHANGES)
-    rows, starts = [], []
+    d_red = cfg.umap.reduced_dim
+    shapes = []
+
+    def seen(index, weights, plan, noise, _fn=recovery.gather_unwrapped):
+        assert len(index) == len(truth)
+        if weights.ndim == 1:
+            np.testing.assert_array_equal(weights, truth.coeffs)
+        shapes.append(weights.shape)
+        return _fn(index, weights, plan, noise)
+
+    monkeypatch.setattr(recovery, "gather_unwrapped", seen)
+    res = recover(cfg, truth)
+    assert res.converged and res.outer_iterations > 1
+    assert set(shapes) == {(len(truth),), (d_red, len(truth))}
+
+
+def test_shift_weights_once_per_row_and_level(monkeypatch):
+    # the truth's rows are weighed once per level of each ladder, when an
+    # iteration first climbs it; a found row is weighed at each level of
+    # every later iteration in whose ranked bins it lands, and at no other
+    truth = random_spectrum(20, 10, 128, 3)
+    cfg = RecoveryConfig(**LADDER_CHANGES)
+    rows, ranked = [], []
 
     def counted(coeffs, freqs_t, eps, _fn=recovery.shift_weights):
         assert freqs_t.shape[-1] == len(coeffs)
-        rows.append(len(coeffs))
+        rows.append(len(coeffs) * np.size(eps))  # rows times the levels weighed
         return _fn(coeffs, freqs_t, eps)
 
-    def line(freqs, axis, p, _fn=recovery.line_index):
-        starts.append(len(freqs))  # the residual's rows as an iteration starts
-        return _fn(freqs, axis, p)
+    def ranks(F, count, _fn=recovery.top_bins):
+        ranked.append(_fn(F, count))
+        return ranked[-1]
 
     monkeypatch.setattr(recovery, "shift_weights", counted)
-    monkeypatch.setattr(recovery, "line_index", line)
+    monkeypatch.setattr(recovery, "top_bins", ranks)
     calls = record_ladders(monkeypatch)
     res = recover(cfg, truth)
-    ladders = [shifts for _, shifts in calls[1:]]
+    ladders = [shifts for _, shifts in calls]
     assert res.converged and len(ladders) == res.outer_iterations > 1
-    last = [not np.array_equal(a, b) for a, b in zip(ladders, ladders[1:])] + [True]
-    assert sum(last) >= 2
-    assert sum(rows) == sum(len(a) * n for a, n, end in zip(ladders, starts, last) if end)
-    assert sum(rows) == 13 * 128 + 16 * 204 + 18 * 254
+    new = [True] + [not np.array_equal(a, b) for a, b in zip(ladders, ladders[1:])]
+    assert sum(new) >= 2
+    # the modes found before iteration i are the first s - s*_i of the result
+    found = unwrap_freq(res.modes.freqs, cfg.umap)
+    d_red = cfg.umap.reduced_dim
+    landed = [
+        np.isin(found[: cfg.s - len(bins), i % d_red] % p, bins).sum()
+        for i, ((p, _), bins) in enumerate(zip(calls, ranked))
+    ]
+    truth_rows = len(truth) * sum(len(a) for a, first in zip(ladders, new) if first)
+    assert sum(rows) == truth_rows + sum(len(a) * n for a, n in zip(ladders, landed))
+    assert truth_rows == 128 * (13 + 16 + 18)
+    assert landed == [0, 43, 24, 4]
+    assert sum(rows) == 128 * (13 + 16 + 18) + 16 * 43 + 18 * (24 + 4)
 
 
 def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):
@@ -507,7 +547,7 @@ def test_noiseless_iterations_climb_one_ladder(monkeypatch):
     cfg = RecoveryConfig(N=20, d=20, d1=5, s=64, seed=5)
     calls = record_ladders(monkeypatch)
     res = recover(cfg, truth)
-    assert res.converged and len(calls) - 1 == res.outer_iterations > 1
+    assert res.converged and len(calls) == res.outer_iterations > 1
     noiseless = _ladder(3368421, 2, 0.0, 1.0, 6.0, 2.5)
     assert len(noiseless) == 2  # M = 1 at N' = 3368421
     at_any_p = [_ladder(3368421, p, 0.0, 1.0, 6.0, 2.5) for p in (131, 10**6 + 3)]
