@@ -51,8 +51,9 @@ TAU_FLOOR = 1e-9
 MAX_SAMPLE_LENGTH = 2**26 - 5
 
 # Most shift levels a ladder may have. Every outer iteration gathers
-# (M+1) d' shifted vectors, and ``recovery.recover`` keeps (M+1) d' (n+s)
-# shift weights; any beta >= 1.04 stays below it at every N' <= 2^53.
+# (M+1) d' shifted vectors, and ``recovery.recover`` keeps (M+1) d' n_truth
+# shift weights of the truth's rows; any beta >= 1.04 stays below it at
+# every N' <= 2^53.
 MAX_SHIFT_LEVELS = 1024
 
 # Largest ladder growth float64 admits (see ``_ladder``): with exact shift

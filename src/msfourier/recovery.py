@@ -31,7 +31,17 @@ from .estimator import (
     reconstruct_entry,
     shift_ratio,
 )
-from .sampler import NoiseModel, SamplePlan, gather_unwrapped, line_index, shift_weights
+from .sampler import (
+    NoiseModel,
+    SamplePlan,
+    _digit_count,
+    _digit_index,
+    _shift_tables,
+    _table_weights,
+    gather_unwrapped,
+    line_index,
+    shift_weights,
+)
 from .spectrum import SparseSpectrum, _cube_holds, _is_int, _is_real, _row_keys
 from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq
 
@@ -115,7 +125,8 @@ class RecoveryConfig:
 class RecoveryResult:
     """``recover``'s output: the found ``modes`` in found order, ``samples_used``,
     ``outer_iterations``, ``converged`` (s modes found) and ``sample_seconds``,
-    the time spent sampling and weighing the truth (not compared by ``==``)."""
+    the time spent sampling and weighing the truth, building each ladder's
+    digit tables included (not compared by ``==``)."""
 
     modes: SparseSpectrum
     samples_used: int
@@ -147,8 +158,26 @@ def recover(
 
     # The oracle holds the truth's unwrapped rows alone; each ladder's first
     # iteration fills their weights (level, shift axis, row) at its shifts.
+    # A level's weights come from its digit table where the table is no
+    # larger than the d' n_truth weights it yields, else from shift_weights.
     freqs = unwrap_freq(truth.freqs, umap)
-    freqs_t = np.ascontiguousarray(freqs.T, dtype=np.float64)
+    digits = _digit_count(umap.eff_bandwidth)
+    use_tables = 256 * digits <= freqs.size
+
+    def weighable(rows):
+        """(n, d') unwrapped rows as ``weigh`` reads them: the (digits, d', n)
+        table positions of their entries, or their (d', n) float64 transpose."""
+        if use_tables:
+            return _digit_index(rows.T, umap.lo, digits)
+        return np.ascontiguousarray(rows.T, dtype=np.float64)
+
+    def weigh(coeffs, rows, alpha):
+        """The (d', n) shift weights of ``weighable`` rows at level alpha."""
+        if use_tables:
+            return _table_weights(coeffs, rows, level_tables[alpha])
+        return shift_weights(coeffs, rows, shifts[alpha])
+
+    truth_rows = weighable(freqs)
     found = np.empty((0, d_red), dtype=np.int64)
     found_coeffs = np.empty(0, dtype=np.complex128)
     sample_seconds = 0.0
@@ -179,8 +208,10 @@ def recover(
             t0 = time.perf_counter()
             weights = None  # free the last ladder's weights before the next fill
             weights = np.empty((len(shifts), d_red, len(freqs)), dtype=np.complex128)
-            for alpha, eps in enumerate(shifts.tolist()):
-                weights[alpha] = shift_weights(truth.coeffs, freqs_t, eps)
+            if use_tables:
+                level_tables = _shift_tables(shifts, umap.lo, digits)
+            for alpha in range(len(shifts)):
+                weights[alpha] = weigh(truth.coeffs, truth_rows, alpha)
             sample_seconds += time.perf_counter() - t0
         M = len(shifts) - 1
 
@@ -198,7 +229,7 @@ def recover(
         ranked = np.zeros(p, dtype=bool)
         ranked[bins] = True
         landed = ranked[residues]
-        landed_t, residues = found[landed].T.astype(np.float64), residues[landed]
+        landed_rows, residues = weighable(found[landed]), residues[landed]
         peeled = p * found_coeffs[landed]
 
         # Each shift level draws its d' vectors in one call, as a (d', p)
@@ -208,9 +239,9 @@ def recover(
         # votes (eta < 1) reject it; its phases read 0.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
-        for alpha, eps in enumerate(shifts.tolist()):
+        for alpha in range(M + 1):
             Fs = dft_forward(draw(weights[alpha]))
-            np.subtract.at(Fs, (slice(None), residues), shift_weights(peeled, landed_t, eps))
+            np.subtract.at(Fs, (slice(None), residues), weigh(peeled, landed_rows, alpha))
             passed, phases[alpha] = shift_ratio(Fu, Fs[:, bins], tau)
             votes += ~passed.all(axis=0)
         final = np.rint(reconstruct_entry(shifts, phases)).astype(np.int64)

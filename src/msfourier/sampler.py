@@ -15,15 +15,27 @@ eps), followed by one inverse FFT of length p.
 
 The residues depend only on the line (axis k~ and p) and the shift phases
 only on the shift (axis k and eps), so they are built apart from the
-vectors: ``line_index`` once per line, and ``shift_weights`` once per mode
-and shift size, for all d' shift axes at once. It reduces each phase w eps
-modulo 1 from the exact product of float64 w and eps
-(``estimator._frac_product``): at the largest shifts |w eps| can pass 2^53,
-where the rounded product has no fractional bit left. ``recovery.recover``
-weighs the truth's modes once per shift ladder and draws a shift level's
-d' vectors in one call, so ``gather_unwrapped`` costs one ``bincount`` over
-the interleaved real and imaginary parts of a block of weight rows, one
-inverse FFT over the block, and one noise draw.
+vectors: ``line_index`` once per line, and the weights once per mode and
+shift size, for all d' shift axes at once. ``shift_weights`` computes each
+weight directly: it reduces the phase w eps modulo 1 from the exact
+product of float64 w and eps (``estimator._frac_product``), since at the
+largest shifts |w eps| can pass 2^53, where the rounded product has no
+fractional bit left, and takes one complex exponential per weight.
+
+The weights ``recovery.recover`` uses come from per-shift digit tables
+instead, wherever a table is no larger than the weights it yields. An
+unwrapped entry w in [lo, hi] is lo plus an offset of D 8-bit digits,
+w = lo + sum_j v_j 2^(8 j), so exp(2 pi i w eps) is the product of the D
+table entries exp(2 pi i (v_j 2^(8 j) + [j = 0] lo) eps), each phase
+reduced exactly as ``shift_weights`` reduces its own (``_shift_tables``).
+A row's flat table positions (``_digit_index``) depend on the row alone,
+so they are built once, and a weight costs D lookups and D complex
+products (``_table_weights``); the tests hold it within (D + 2) 2^-52 |a|
+of the exact weight. ``recovery.recover`` builds the tables of a shift
+ladder's levels together when it first climbs the ladder, and draws a
+shift level's d' vectors in one call, so ``gather_unwrapped`` costs one
+``bincount`` over the interleaved real and imaginary parts of a block of
+weight rows, one inverse FFT over the block, and one noise draw.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64) of ``spectrum._key64``,
@@ -134,6 +146,43 @@ def shift_weights(coeffs: np.ndarray, freqs_t: np.ndarray, eps: float) -> np.nda
     shift axis, a single column ``freqs[:, k]`` gives that axis's weights.
     """
     return coeffs * np.exp(2j * np.pi * _frac_product(freqs_t, eps))
+
+
+def _digit_count(eff_bandwidth: int) -> int:
+    """The number D of 8-bit digits that hold every offset w - lo of an
+    unwrapped entry: the offsets are below N' - 1."""
+    return -(-(eff_bandwidth - 1).bit_length() // 8)
+
+
+def _digit_index(freqs: np.ndarray, lo: int, digits: int) -> np.ndarray:
+    """Flat table positions of the offsets ``freqs - lo``: entry j of the
+    leading axis of the (digits, *freqs.shape) result holds 256 j plus digit
+    j of each offset. Every entry of ``freqs`` lies in [lo, lo + 2^(8 digits))."""
+    offsets = np.asarray(freqs, dtype=np.int64) - lo
+    j = np.arange(digits).reshape((-1,) + (1,) * offsets.ndim)
+    return ((offsets >> 8 * j) & 255) + 256 * j
+
+
+def _shift_tables(shifts: np.ndarray, lo: int, digits: int) -> np.ndarray:
+    """The digit tables of a ladder, one row per shift eps: exp(2 pi i v
+    2^(8 j) eps) at position 256 j + v, with lo folded into digit 0, exp(2
+    pi i (lo + v) eps). Each phase is reduced mod 1 from its exact value:
+    the products v 2^(8 j) and lo + v are float64 integers below 2^56."""
+    steps = np.ldexp(np.arange(256.0), 8 * np.arange(digits)[:, None])
+    steps[0] += lo
+    phases = _frac_product(steps, np.reshape(shifts, (-1, 1, 1)))
+    return np.exp(2j * np.pi * phases).reshape(len(phases), -1)
+
+
+def _table_weights(coeffs: np.ndarray, index: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``shift_weights`` of the rows whose ``_digit_index`` is ``index``, at
+    the shift of ``table``, a row of ``_shift_tables``: coeffs times the
+    product of each entry's digit lookups, with the modes along the last axis."""
+    weights = table[index[0]]
+    for positions in index[1:]:
+        weights *= table[positions]
+    weights *= coeffs
+    return weights
 
 
 def _synthesize(index: np.ndarray, weights: np.ndarray, plan: SamplePlan) -> np.ndarray:

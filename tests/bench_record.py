@@ -6,8 +6,8 @@ it), the Python and numpy versions, ``nproc`` and the host, then:
 - the JSON line of ``perfbench/run.py --workload all`` at ``--trace 0`` and
   at ``--trace 1``, kept verbatim, each run as a subprocess;
 - the north star's cells that perfbench does not run, through the public
-  API, one process per cell: large s (s=1024 and s=4096, otherwise the
-  headline size), large d (d=500 and d=1000, s=64) and tiny dense (N=8,
+  API, one process per cell: large s (s=1024, 4096 and 16,384, otherwise
+  the headline size), large d (d=500 and d=1000, s=64) and tiny dense (N=8,
   d=2, s=8, sigma=0, at d1=1 and d1=2). Each cell recovers
   ``random_spectrum(N, d, s, seed)`` under ``RecoveryConfig(..., seed=seed)``
   for every listed seed, round after round until ``--seconds`` have passed
@@ -48,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CELLS = {
     "large_s": (20, 100, 5, 1024, 0.512),
     "large_s_4096": (20, 100, 5, 4096, 0.512),
+    "large_s_16384": (20, 100, 5, 16384, 0.512),
     "large_d_500": (20, 500, 5, 64, 0.512),
     "large_d_1000": (20, 1000, 5, 64, 0.512),
     "tiny_dense_d1_1": (8, 2, 1, 8, 0.0),

@@ -471,31 +471,32 @@ def test_oracle_samples_the_truth_alone(monkeypatch):
     assert set(shapes) == {(len(truth),), (d_red, len(truth))}
 
 
-def test_shift_weights_once_per_row_and_level(monkeypatch):
-    # the truth's rows are weighed once per level of each ladder, when an
-    # iteration first climbs it; a found row is weighed at each level of
-    # every later iteration in whose ranked bins it lands, and at no other
-    truth = random_spectrum(20, 10, 128, 3)
-    cfg = RecoveryConfig(**LADDER_CHANGES)
-    rows, ranked = [], []
+def weighed_row_levels(monkeypatch, truth, cfg):
+    """Run ``recover`` counting the row-levels each weighing path weighs, a
+    call weighing its rows at one level; return the result, the counts by
+    path and the row-levels expected: the truth's rows once per level of each
+    ladder, when an iteration first climbs it, and a found row at each level
+    of every later iteration in whose ranked bins it lands, and at no other."""
+    weighed = {"_table_weights": 0, "shift_weights": 0}
+    ranked = []
 
-    def counted(coeffs, freqs_t, eps, _fn=recovery.shift_weights):
-        assert freqs_t.shape[-1] == len(coeffs)
-        rows.append(len(coeffs) * np.size(eps))  # rows times the levels weighed
-        return _fn(coeffs, freqs_t, eps)
+    for name in weighed:
+        def counted(coeffs, rows, level, _fn=getattr(recovery, name), _name=name):
+            assert rows.shape[-1] == len(coeffs)
+            weighed[_name] += len(coeffs)
+            return _fn(coeffs, rows, level)
+
+        monkeypatch.setattr(recovery, name, counted)
 
     def ranks(F, count, _fn=recovery.top_bins):
         ranked.append(_fn(F, count))
         return ranked[-1]
 
-    monkeypatch.setattr(recovery, "shift_weights", counted)
     monkeypatch.setattr(recovery, "top_bins", ranks)
     calls = record_ladders(monkeypatch)
     res = recover(cfg, truth)
     ladders = [shifts for _, shifts in calls]
-    assert res.converged and len(ladders) == res.outer_iterations > 1
     new = [True] + [not np.array_equal(a, b) for a, b in zip(ladders, ladders[1:])]
-    assert sum(new) >= 2
     # the modes found before iteration i are the first s - s*_i of the result
     found = unwrap_freq(res.modes.freqs, cfg.umap)
     d_red = cfg.umap.reduced_dim
@@ -504,10 +505,47 @@ def test_shift_weights_once_per_row_and_level(monkeypatch):
         for i, ((p, _), bins) in enumerate(zip(calls, ranked))
     ]
     truth_rows = len(truth) * sum(len(a) for a, first in zip(ladders, new) if first)
-    assert sum(rows) == truth_rows + sum(len(a) * n for a, n in zip(ladders, landed))
+    expected = truth_rows + sum(len(a) * n for a, n in zip(ladders, landed))
+    return res, weighed, expected, (truth_rows, landed, sum(new))
+
+
+def test_shift_weights_once_per_row_and_level(monkeypatch):
+    # the truth's rows are weighed once per level of each ladder, when an
+    # iteration first climbs it; a found row is weighed at each level of
+    # every later iteration in whose ranked bins it lands, and at no other
+    truth = random_spectrum(20, 10, 128, 3)
+    cfg = RecoveryConfig(**LADDER_CHANGES)
+    res, weighed, expected, (truth_rows, landed, ladders) = weighed_row_levels(
+        monkeypatch, truth, cfg
+    )
+    assert res.converged and res.outer_iterations > 1 and ladders >= 2
+    assert sum(weighed.values()) == expected
     assert truth_rows == 128 * (13 + 16 + 18)
     assert landed == [0, 43, 24, 4]
-    assert sum(rows) == 128 * (13 + 16 + 18) + 16 * 43 + 18 * (24 + 4)
+    assert expected == 128 * (13 + 16 + 18) + 16 * 43 + 18 * (24 + 4)
+
+
+@pytest.mark.parametrize(
+    "N, d, d1, s, sigma, path",
+    [
+        # perfbench's headline, wide_d and many_modes sizes: a level's table
+        # of 3 * 256 entries yields d' n_truth = 5,120, 12,800 and 4,096 weights
+        (20, 100, 5, 256, 0.512, "_table_weights"),
+        (20, 1000, 5, 64, 0.512, "_table_weights"),
+        (20, 20, 5, 1024, 0.0, "_table_weights"),
+        # N' > 2^52 needs 7 digits: a table of 1,792 entries for 2 * 16 weights
+        (2**26, 4, 2, 16, 0.1, "shift_weights"),
+    ],
+)
+def test_weighing_path_follows_table_size(monkeypatch, N, d, d1, s, sigma, path):
+    # every row-level goes through one path, tables where a level's table is
+    # no larger than the d' n_truth weights it replaces, shift_weights where
+    # it is larger, and the count is the same either way
+    truth = random_spectrum(N, d, s, 5)
+    cfg = RecoveryConfig(N=N, d=d, d1=d1, s=s, sigma=sigma, seed=5)
+    res, weighed, expected, _ = weighed_row_levels(monkeypatch, truth, cfg)
+    assert res.converged
+    assert weighed[path] == expected > 0 and sum(weighed.values()) == expected
 
 
 def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):

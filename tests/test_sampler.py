@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from reference import frac_product, unwrap_point
 
-from msfourier import FourierMode, NoiseModel, SparseSpectrum, evaluate_spectrum
+from msfourier import FourierMode, NoiseModel, RecoveryConfig, SparseSpectrum, evaluate_spectrum
 from msfourier.sampler import (
     SamplePlan,
+    _digit_count,
+    _digit_index,
+    _shift_tables,
     _synthesize,
+    _table_weights,
     gather_unwrapped,
     line_index,
     noise_vector,
@@ -147,6 +151,38 @@ def test_shift_weights_rows_equal_single_axis():
             expected = coeffs * np.exp(2j * np.pi * frac_product(column, eps))
             assert np.all(np.abs(weights[k] - expected) <= 4e-15 * np.abs(coeffs)), (eps, k)
             np.testing.assert_array_equal(shift_weights(coeffs, column, eps), weights[k])
+
+
+@pytest.mark.parametrize(
+    "N, d1, n_eff",
+    [(8, 1, 9), (20, 5, 3_368_421), (4, 11, 5_592_405), (2**26, 2, 2**52 + 2**26 + 1),
+     (2, 52, 2**53 - 1)],
+)
+def test_table_weights_match_exact_phases(N, d1, n_eff):
+    # a weight from D digit lookups is within (D + 2) 2^-52 |a| of a exp(2 pi
+    # i (w eps mod 1)) with the phase reduced in rationals, at every level of
+    # a noiseless and a noisy ladder, for entries at lo, at hi, at digit
+    # boundaries and in between
+    umap = UnwrapMap(bandwidth=N, dim=d1, block=d1)
+    assert umap.eff_bandwidth == n_eff
+    digits = _digit_count(n_eff)
+    assert 2 ** (8 * digits - 8) <= n_eff - 1 < 2 ** (8 * digits)
+    rng = np.random.default_rng(d1)
+    entries = np.concatenate([
+        [umap.lo, umap.hi, umap.lo + 255, umap.lo + 256, umap.hi - 256],
+        rng.integers(umap.lo, umap.hi + 1, size=40),
+    ]).clip(umap.lo, umap.hi)
+    coeffs = rng.standard_normal(len(entries)) + 1j * rng.standard_normal(len(entries))
+    index = _digit_index(entries, umap.lo, digits)
+    assert index.shape == (digits, len(entries))
+    for sigma in (0.0, 0.5):
+        shifts = RecoveryConfig(N=N, d=d1, d1=d1, s=4, sigma=sigma).schedule(4)[2]
+        assert sigma == 0 or len(shifts) > 3
+        for eps, table in zip(shifts.tolist(), _shift_tables(shifts, umap.lo, digits)):
+            weights = _table_weights(coeffs, index, table)
+            exact = coeffs * np.exp(2j * np.pi * frac_product(entries.astype(float), eps))
+            error = np.abs(weights - exact) / np.abs(coeffs)
+            assert error.max() <= (digits + 2) * 2.0**-52, (sigma, eps)
 
 
 def test_synthesize_weight_layouts():
