@@ -42,7 +42,7 @@ from .sampler import (
     line_index,
     shift_weights,
 )
-from .spectrum import SparseSpectrum, _cube_holds, _is_int, _is_real, _row_keys
+from .spectrum import SparseSpectrum, _cube_holds, _is_int, _is_real
 from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq
 
 __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
@@ -125,8 +125,8 @@ class RecoveryConfig:
 class RecoveryResult:
     """``recover``'s output: the found ``modes`` in found order, ``samples_used``,
     ``outer_iterations``, ``converged`` (s modes found) and ``sample_seconds``,
-    the time spent sampling and weighing the truth, building each ladder's
-    digit tables included (not compared by ``==``)."""
+    the time spent weighing the truth at each shift level and sampling, building
+    each ladder's digit tables included (not compared by ``==``)."""
 
     modes: SparseSpectrum
     samples_used: int
@@ -156,10 +156,9 @@ def recover(
     d_red = umap.reduced_dim
     max_outer = config.max_outer_iterations or 10 * d_red
 
-    # The oracle holds the truth's unwrapped rows alone; each ladder's first
-    # iteration fills their weights (level, shift axis, row) at its shifts.
-    # A level's weights come from its digit table where the table is no
-    # larger than the d' n_truth weights it yields, else from shift_weights.
+    # The oracle holds the truth's unwrapped rows alone and weighs them at a
+    # shift level as it draws the level: from the level's digit table where it
+    # is no larger than the d' n_truth weights it yields, else by shift_weights.
     freqs = unwrap_freq(truth.freqs, umap)
     digits = _digit_count(umap.eff_bandwidth)
     use_tables = 256 * digits <= freqs.size
@@ -180,19 +179,21 @@ def recover(
     truth_rows = weighable(freqs)
     found = np.empty((0, d_red), dtype=np.int64)
     found_coeffs = np.empty(0, dtype=np.complex128)
+    found_keys = set()
     sample_seconds = 0.0
     samples_used = 0
     stream = 0
     i = 0
 
-    def draw(row_weights):
-        """Counted, timed sample vectors of length p on this iteration's line:
-        one for a weight vector, r for an (r, n) block, with one noise draw on
-        the next stream tag; the tag advances by r, so tags stay distinct."""
+    def draw(alpha=None):
+        """Counted, timed sample vectors of length p on this iteration's line,
+        with one noise draw on the next stream tag: the unshifted one, or level
+        alpha's (d', p) block, weighed here; tags advance by the vector count."""
         nonlocal samples_used, sample_seconds, stream
+        t0 = time.perf_counter()
+        row_weights = truth.coeffs if alpha is None else weigh(truth.coeffs, truth_rows, alpha)
         rows = len(row_weights) if row_weights.ndim == 2 else 1
         plan = SamplePlan(p=rows * p, stream=stream)
-        t0 = time.perf_counter()
         values = gather_unwrapped(index, row_weights, plan, noise)
         sample_seconds += time.perf_counter() - t0
         stream += rows
@@ -205,14 +206,10 @@ def recover(
         k_tilde = (i % d_red) + 1
         if i == 0 or not np.array_equal(ladder, shifts):
             shifts = ladder
-            t0 = time.perf_counter()
-            weights = None  # free the last ladder's weights before the next fill
-            weights = np.empty((len(shifts), d_red, len(freqs)), dtype=np.complex128)
             if use_tables:
+                t0 = time.perf_counter()
                 level_tables = _shift_tables(shifts, umap.lo, digits)
-            for alpha in range(len(shifts)):
-                weights[alpha] = weigh(truth.coeffs, truth_rows, alpha)
-            sample_seconds += time.perf_counter() - t0
+                sample_seconds += time.perf_counter() - t0
         M = len(shifts) - 1
 
         # Every vector of this iteration lies on the line along k~. A found
@@ -222,7 +219,7 @@ def recover(
         # then from each level's block where they land in a ranked bin.
         index = line_index(freqs, k_tilde, p)
         residues = found[:, k_tilde - 1] % p
-        F0 = dft_forward(draw(truth.coeffs))
+        F0 = dft_forward(draw())
         np.subtract.at(F0, residues, p * found_coeffs)
         bins = top_bins(F0, s_star)
         Fu = F0[bins]
@@ -232,15 +229,15 @@ def recover(
         landed_rows, residues = weighable(found[landed]), residues[landed]
         peeled = p * found_coeffs[landed]
 
-        # Each shift level draws its d' vectors in one call, as a (d', p)
-        # block from the truth's weights at that level, and transforms the
-        # block with one FFT. A bin failing the collision test on any axis
-        # gets the level's vote. An empty bin fails every level, so its M+1
-        # votes (eta < 1) reject it; its phases read 0.
+        # Each shift level weighs the truth and draws its d' vectors in one
+        # call, as a (d', p) block, and transforms the block with one FFT. A
+        # bin failing the collision test on any axis gets the level's vote. An
+        # empty bin fails every level, so its M+1 votes (eta < 1) reject it;
+        # its phases read 0.
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
         for alpha in range(M + 1):
-            Fs = dft_forward(draw(weights[alpha]))
+            Fs = dft_forward(draw(alpha))
             np.subtract.at(Fs, (slice(None), residues), weigh(peeled, landed_rows, alpha))
             passed, phases[alpha] = shift_ratio(Fu, Fs[:, bins], tau)
             votes += ~passed.all(axis=0)
@@ -255,11 +252,13 @@ def recover(
         kept = np.flatnonzero(keep)
         coeffs = np.array([estimate_coefficient(c, p) for c in Fu[kept].tolist()], complex)
         cands = final[:, kept].T
-        # Each key's first row among the found rows followed by the candidates,
-        # in top_bins' rank, wins: the candidate rows that win are the new modes.
-        n_found = len(found)
-        _, first = np.unique(_row_keys(np.concatenate([found, cands])), return_index=True)
-        new = np.sort(first[first >= n_found]) - n_found
+        # A candidate, in top_bins' rank, is a new mode when neither a found
+        # row nor a better-ranked candidate holds its row.
+        new = []
+        for j, key in enumerate(map(tuple, cands.tolist())):
+            if key not in found_keys:
+                found_keys.add(key)
+                new.append(j)
         found = np.concatenate([found, cands[new]])
         found_coeffs = np.concatenate([found_coeffs, coeffs[new]])
         i += 1

@@ -15,9 +15,9 @@ eps), followed by one inverse FFT of length p.
 
 The residues depend only on the line (axis k~ and p) and the shift phases
 only on the shift (axis k and eps), so they are built apart from the
-vectors: ``line_index`` once per line, and the weights once per mode and
-shift size, for all d' shift axes at once. ``shift_weights`` computes each
-weight directly: it reduces the phase w eps modulo 1 from the exact
+vectors: ``line_index`` once per line, and the weights of a shift for all
+d' shift axes at once, as its vectors are drawn. ``shift_weights`` computes
+each weight directly: it reduces the phase w eps modulo 1 from the exact
 product of float64 w and eps (``estimator._frac_product``), since at the
 largest shifts |w eps| can pass 2^53, where the rounded product has no
 fractional bit left, and takes one complex exponential per weight.
@@ -31,10 +31,10 @@ reduced exactly as ``shift_weights`` reduces its own (``_shift_tables``).
 A row's flat table positions (``_digit_index``) depend on the row alone,
 so they are built once, and a weight costs D lookups and D complex
 products (``_table_weights``); the tests hold it within (D + 2) 2^-52 |a|
-of the exact weight. ``recovery.recover`` builds the tables of a shift
-ladder's levels together when it first climbs the ladder, and draws a
-shift level's d' vectors in one call, so ``gather_unwrapped`` costs one
-``bincount`` over the interleaved real and imaginary parts of a block of
+of the exact weight. ``recovery.recover`` builds a ladder's tables when it
+first climbs the ladder; at each shift level it weighs the truth's rows and
+draws the level's d' vectors in one call, so ``gather_unwrapped`` costs one
+``bincount`` over the interleaved real and imaginary parts of that block of
 weight rows, one inverse FFT over the block, and one noise draw.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
@@ -121,7 +121,7 @@ def noise_vector(noise: NoiseModel, stream: int, p: int) -> np.ndarray:
     draws = np.random.Generator(np.random.Philox(key=key)).standard_normal(2 * p)
     if noise.kind == "complex-circular":
         # (draw 2l, draw 2l+1) is the memory layout of one complex128.
-        return noise.sigma / np.sqrt(2.0) * draws.view(np.complex128)
+        return np.multiply(draws, noise.sigma / np.sqrt(2.0), out=draws).view(np.complex128)
     return noise.sigma * draws[0::2] + 0j
 
 
@@ -208,7 +208,8 @@ def _synthesize(index: np.ndarray, weights: np.ndarray, plan: SamplePlan) -> np.
         raise ValueError(f"line index holds residues past p={p}")
     bins = index.reshape(1, -1) + 2 * p * np.arange(rows)[:, None]
     hist = np.bincount(bins.ravel(), weights.view(np.float64).ravel(), 2 * plan.p)
-    return p * np.fft.ifft(hist.view(np.complex128).reshape(weights.shape[:-1] + (p,)))
+    values = np.fft.ifft(hist.view(np.complex128).reshape(weights.shape[:-1] + (p,)))
+    return np.multiply(values, p, out=values)
 
 
 def gather_unwrapped(

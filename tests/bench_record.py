@@ -13,7 +13,10 @@ it), the Python and numpy versions, ``nproc`` and the host, then:
   for every listed seed, round after round until ``--seconds`` have passed
   (one round at least), and records the median time per recovery, each
   seed's ``samples_used``, the median samples per s·d, the share of runs
-  that recover the exact frequency set and the process's peak RSS.
+  that recover the exact frequency set and the process's peak RSS. The RSS
+  peak grows with the number of rounds, as repeated runs fragment the heap,
+  so each cell also records ``peak_traced_mb``: the largest tracemalloc
+  peak of one untimed recovery per seed, run after the RSS is read.
 
     python tests/bench_record.py --pr N [--out PATH] [--seconds 5] [--seeds 1,2]
         [--checkout DIR]
@@ -38,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +86,14 @@ def run_cell(name: str, seeds: list[int], seconds: float) -> dict:
             report = compare(truth, result.modes)
             exact.append(report.missed == 0 and report.spurious == 0)
             samples.append(result.samples_used)
+    # ru_maxrss is in KiB on Linux; read it before tracing adds its own memory
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    traced = []
+    for truth, config in cases:
+        tracemalloc.start()
+        recover(config, truth)
+        traced.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
     return {
         "N": N, "d": d, "d1": d1, "s": s, "sigma": sigma,
         "runs": len(times),
@@ -89,8 +101,8 @@ def run_cell(name: str, seeds: list[int], seconds: float) -> dict:
         "samples_used": samples[: len(seeds)],
         "samples_per_sd": statistics.median(samples) / (s * d),
         "exact_rate": sum(exact) / len(exact),
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb,
+        "peak_traced_mb": max(traced) / 2**20,
     }
 
 

@@ -25,9 +25,10 @@ def test_bench_record_writes_every_key(tmp_path):
     for name, cell in rec["cells"].items():
         assert set(cell) == {
             "N", "d", "d1", "s", "sigma", "runs", "median_s", "samples_used",
-            "samples_per_sd", "exact_rate", "peak_rss_mb",
+            "samples_per_sd", "exact_rate", "peak_rss_mb", "peak_traced_mb",
         }
         shape = (cell["N"], cell["d"], cell["d1"], cell["s"], cell["sigma"])
         assert shape == bench_record.CELLS[name]
         assert cell["runs"] == 1 and len(cell["samples_used"]) == 1
         assert cell["samples_used"][0] > 0 and 0 <= cell["exact_rate"] <= 1
+        assert 0 < cell["peak_traced_mb"] < cell["peak_rss_mb"]

@@ -474,9 +474,9 @@ def test_oracle_samples_the_truth_alone(monkeypatch):
 def weighed_row_levels(monkeypatch, truth, cfg):
     """Run ``recover`` counting the row-levels each weighing path weighs, a
     call weighing its rows at one level; return the result, the counts by
-    path and the row-levels expected: the truth's rows once per level of each
-    ladder, when an iteration first climbs it, and a found row at each level
-    of every later iteration in whose ranked bins it lands, and at no other."""
+    path and the row-levels expected: the truth's rows once per level of
+    every iteration, as the level is drawn, and a found row at each level of
+    every later iteration in whose ranked bins it lands, and at no other."""
     weighed = {"_table_weights": 0, "shift_weights": 0}
     ranked = []
 
@@ -496,7 +496,6 @@ def weighed_row_levels(monkeypatch, truth, cfg):
     calls = record_ladders(monkeypatch)
     res = recover(cfg, truth)
     ladders = [shifts for _, shifts in calls]
-    new = [True] + [not np.array_equal(a, b) for a, b in zip(ladders, ladders[1:])]
     # the modes found before iteration i are the first s - s*_i of the result
     found = unwrap_freq(res.modes.freqs, cfg.umap)
     d_red = cfg.umap.reduced_dim
@@ -504,25 +503,26 @@ def weighed_row_levels(monkeypatch, truth, cfg):
         np.isin(found[: cfg.s - len(bins), i % d_red] % p, bins).sum()
         for i, ((p, _), bins) in enumerate(zip(calls, ranked))
     ]
-    truth_rows = len(truth) * sum(len(a) for a, first in zip(ladders, new) if first)
+    truth_rows = len(truth) * sum(len(a) for a in ladders)
     expected = truth_rows + sum(len(a) * n for a, n in zip(ladders, landed))
-    return res, weighed, expected, (truth_rows, landed, sum(new))
+    return res, weighed, expected, (truth_rows, landed, [len(a) for a in ladders])
 
 
 def test_shift_weights_once_per_row_and_level(monkeypatch):
-    # the truth's rows are weighed once per level of each ladder, when an
-    # iteration first climbs it; a found row is weighed at each level of
-    # every later iteration in whose ranked bins it lands, and at no other
+    # the truth's rows are weighed once per level of every iteration, as the
+    # level is drawn; a found row is weighed at each level of every later
+    # iteration in whose ranked bins it lands, and at no other
     truth = random_spectrum(20, 10, 128, 3)
     cfg = RecoveryConfig(**LADDER_CHANGES)
-    res, weighed, expected, (truth_rows, landed, ladders) = weighed_row_levels(
+    res, weighed, expected, (truth_rows, landed, levels) = weighed_row_levels(
         monkeypatch, truth, cfg
     )
-    assert res.converged and res.outer_iterations > 1 and ladders >= 2
+    assert res.converged and res.outer_iterations == len(levels)
     assert sum(weighed.values()) == expected
-    assert truth_rows == 128 * (13 + 16 + 18)
+    assert levels == [13, 16, 18, 18]
+    assert truth_rows == 128 * (13 + 16 + 18 + 18)
     assert landed == [0, 43, 24, 4]
-    assert expected == 128 * (13 + 16 + 18) + 16 * 43 + 18 * (24 + 4)
+    assert expected == 128 * (13 + 16 + 18 + 18) + 16 * 43 + 18 * (24 + 4)
 
 
 @pytest.mark.parametrize(
@@ -546,6 +546,45 @@ def test_weighing_path_follows_table_size(monkeypatch, N, d, d1, s, sigma, path)
     res, weighed, expected, _ = weighed_row_levels(monkeypatch, truth, cfg)
     assert res.converged
     assert weighed[path] == expected > 0 and sum(weighed.values()) == expected
+
+
+@pytest.mark.parametrize(
+    "N, d, d1, s, sigma",
+    [
+        (20, 10, 5, 128, 0.512),  # shift_weights: a level's table outnumbers 256 weights
+        (20, 100, 5, 64, 0.512),  # tables: 768 entries for 1,280 weights
+    ],
+)
+def test_truth_weighed_right_before_its_level_is_drawn(monkeypatch, N, d, d1, s, sigma):
+    # each shift level weighs the truth's rows right before its
+    # gather_unwrapped call draws them, never ahead of it: no level's
+    # weights are held while another level is drawn
+    truth = random_spectrum(N, d, s, 3)
+    cfg = RecoveryConfig(N=N, d=d, d1=d1, s=s, sigma=sigma, seed=7)
+    events = []
+
+    for name in ("_table_weights", "shift_weights"):
+        def logged(coeffs, rows, level, _fn=getattr(recovery, name)):
+            weights = _fn(coeffs, rows, level)
+            if coeffs is truth.coeffs:
+                events.append(("weigh", weights))
+            return weights
+
+        monkeypatch.setattr(recovery, name, logged)
+
+    def gathered(index, weights, plan, noise, _fn=recovery.gather_unwrapped):
+        events.append(("gather", weights))
+        return _fn(index, weights, plan, noise)
+
+    monkeypatch.setattr(recovery, "gather_unwrapped", gathered)
+    calls = record_ladders(monkeypatch)
+    res = recover(cfg, truth)
+    assert res.converged
+    blocks = [j for j, (kind, w) in enumerate(events) if kind == "gather" and w.ndim == 2]
+    assert len(blocks) == sum(len(shifts) for _, shifts in calls)
+    # every truth weighing is the event right before the block it feeds
+    assert sum(kind == "weigh" for kind, _ in events) == len(blocks)
+    assert all(events[j - 1][0] == "weigh" and events[j - 1][1] is events[j][1] for j in blocks)
 
 
 def test_first_headline_iteration_climbs_the_ladder_its_p_admits(monkeypatch):
