@@ -52,8 +52,9 @@ MAX_SAMPLE_LENGTH = 2**26 - 5
 
 # Most shift levels a ladder may have. Every outer iteration gathers
 # (M+1) d' shifted vectors and weighs the truth's rows M+1 times, d' n_truth
-# weights at a time, and each ladder keeps M+1 digit tables; any beta >= 1.04
-# stays below it at every N' <= 2^53.
+# weights at a time, and each ladder keeps M+1 digit tables of 256 D <= 1,792
+# complex entries: at most 1,024 x 1,792 x 16 B, about 29 MB, whatever the
+# size of the truth. Any beta >= 1.04 stays below it at every N' <= 2^53.
 MAX_SHIFT_LEVELS = 1024
 
 # Largest ladder growth float64 admits (see ``_ladder``): with exact shift

@@ -40,7 +40,6 @@ from .sampler import (
     _table_weights,
     gather_unwrapped,
     line_index,
-    shift_weights,
 )
 from .spectrum import SparseSpectrum, _cube_holds, _is_int, _is_real
 from .unwrap import UnwrapMap, rewrap_freq, unwrap_freq
@@ -125,8 +124,8 @@ class RecoveryConfig:
 class RecoveryResult:
     """``recover``'s output: the found ``modes`` in found order, ``samples_used``,
     ``outer_iterations``, ``converged`` (s modes found) and ``sample_seconds``,
-    the time spent weighing the truth at each shift level and sampling, building
-    each ladder's digit tables included (not compared by ``==``)."""
+    the time spent building each ladder's digit tables, weighing the truth from
+    them at each shift level and sampling (not compared by ``==``)."""
 
     modes: SparseSpectrum
     samples_used: int
@@ -157,26 +156,11 @@ def recover(
     max_outer = config.max_outer_iterations or 10 * d_red
 
     # The oracle holds the truth's unwrapped rows alone and weighs them at a
-    # shift level as it draws the level: from the level's digit table where it
-    # is no larger than the d' n_truth weights it yields, else by shift_weights.
+    # shift level from the level's digit table as it draws the level; a row's
+    # (digits, d', n) table positions are split once.
     freqs = unwrap_freq(truth.freqs, umap)
     digits = _digit_count(umap.eff_bandwidth)
-    use_tables = 256 * digits <= freqs.size
-
-    def weighable(rows):
-        """(n, d') unwrapped rows as ``weigh`` reads them: the (digits, d', n)
-        table positions of their entries, or their (d', n) float64 transpose."""
-        if use_tables:
-            return _digit_index(rows.T, umap.lo, digits)
-        return np.ascontiguousarray(rows.T, dtype=np.float64)
-
-    def weigh(coeffs, rows, alpha):
-        """The (d', n) shift weights of ``weighable`` rows at level alpha."""
-        if use_tables:
-            return _table_weights(coeffs, rows, level_tables[alpha])
-        return shift_weights(coeffs, rows, shifts[alpha])
-
-    truth_rows = weighable(freqs)
+    truth_rows = _digit_index(freqs.T, umap.lo, digits)
     found = np.empty((0, d_red), dtype=np.int64)
     found_coeffs = np.empty(0, dtype=np.complex128)
     found_keys = set()
@@ -191,7 +175,9 @@ def recover(
         alpha's (d', p) block, weighed here; tags advance by the vector count."""
         nonlocal samples_used, sample_seconds, stream
         t0 = time.perf_counter()
-        row_weights = truth.coeffs if alpha is None else weigh(truth.coeffs, truth_rows, alpha)
+        row_weights = truth.coeffs
+        if alpha is not None:
+            row_weights = _table_weights(truth.coeffs, truth_rows, level_tables[alpha])
         rows = len(row_weights) if row_weights.ndim == 2 else 1
         plan = SamplePlan(p=rows * p, stream=stream)
         values = gather_unwrapped(index, row_weights, plan, noise)
@@ -206,10 +192,9 @@ def recover(
         k_tilde = (i % d_red) + 1
         if i == 0 or not np.array_equal(ladder, shifts):
             shifts = ladder
-            if use_tables:
-                t0 = time.perf_counter()
-                level_tables = _shift_tables(shifts, umap.lo, digits)
-                sample_seconds += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            level_tables = _shift_tables(shifts, umap.lo, digits)
+            sample_seconds += time.perf_counter() - t0
         M = len(shifts) - 1
 
         # Every vector of this iteration lies on the line along k~. A found
@@ -226,7 +211,8 @@ def recover(
         ranked = np.zeros(p, dtype=bool)
         ranked[bins] = True
         landed = ranked[residues]
-        landed_rows, residues = weighable(found[landed]), residues[landed]
+        landed_rows = _digit_index(found[landed].T, umap.lo, digits)
+        residues = residues[landed]
         peeled = p * found_coeffs[landed]
 
         # Each shift level weighs the truth and draws its d' vectors in one
@@ -238,7 +224,8 @@ def recover(
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
         for alpha in range(M + 1):
             Fs = dft_forward(draw(alpha))
-            np.subtract.at(Fs, (slice(None), residues), weigh(peeled, landed_rows, alpha))
+            landed_weights = _table_weights(peeled, landed_rows, level_tables[alpha])
+            np.subtract.at(Fs, (slice(None), residues), landed_weights)
             passed, phases[alpha] = shift_ratio(Fu, Fs[:, bins], tau)
             votes += ~passed.all(axis=0)
         final = np.rint(reconstruct_entry(shifts, phases)).astype(np.int64)

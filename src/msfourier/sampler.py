@@ -16,26 +16,22 @@ eps), followed by one inverse FFT of length p.
 The residues depend only on the line (axis k~ and p) and the shift phases
 only on the shift (axis k and eps), so they are built apart from the
 vectors: ``line_index`` once per line, and the weights of a shift for all
-d' shift axes at once, as its vectors are drawn. ``shift_weights`` computes
-each weight directly: it reduces the phase w eps modulo 1 from the exact
-product of float64 w and eps (``estimator._frac_product``), since at the
-largest shifts |w eps| can pass 2^53, where the rounded product has no
-fractional bit left, and takes one complex exponential per weight.
-
-The weights ``recovery.recover`` uses come from per-shift digit tables
-instead, wherever a table is no larger than the weights it yields. An
-unwrapped entry w in [lo, hi] is lo plus an offset of D 8-bit digits,
-w = lo + sum_j v_j 2^(8 j), so exp(2 pi i w eps) is the product of the D
-table entries exp(2 pi i (v_j 2^(8 j) + [j = 0] lo) eps), each phase
-reduced exactly as ``shift_weights`` reduces its own (``_shift_tables``).
-A row's flat table positions (``_digit_index``) depend on the row alone,
-so they are built once, and a weight costs D lookups and D complex
-products (``_table_weights``); the tests hold it within (D + 2) 2^-52 |a|
-of the exact weight. ``recovery.recover`` builds a ladder's tables when it
-first climbs the ladder; at each shift level it weighs the truth's rows and
-draws the level's d' vectors in one call, so ``gather_unwrapped`` costs one
-``bincount`` over the interleaved real and imaginary parts of that block of
-weight rows, one inverse FFT over the block, and one noise draw.
+d' shift axes at once, as its vectors are drawn, from per-shift digit
+tables. An unwrapped entry w in [lo, hi] is lo plus an offset of D 8-bit
+digits, w = lo + sum_j v_j 2^(8 j), so exp(2 pi i w eps) is the product of
+the D table entries exp(2 pi i (v_j 2^(8 j) + [j = 0] lo) eps). Each table
+phase is reduced mod 1 from the exact product of its float64 factors
+(``estimator._frac_product``, ``_shift_tables``), since at the largest
+shifts |w eps| can pass 2^53, where the rounded product has no fractional
+bit left. A row's flat table positions (``_digit_index``) depend on the
+row alone, so they are built once, and a weight costs D lookups and D
+complex products (``_table_weights``); the tests hold it within (D + 2)
+2^-52 |a| of the exact weight. ``recovery.recover`` builds a ladder's
+tables when it first climbs the ladder; at each shift level it weighs the
+truth's rows and draws the level's d' vectors in one call, so
+``gather_unwrapped`` costs one ``bincount`` over the interleaved real and
+imaginary parts of that block of weight rows, one inverse FFT over the
+block, and one noise draw.
 
 Noise draws use counter-based Philox streams keyed exactly by the two
 64-bit words (seed mod 2^64, stream tag mod 2^64) of ``spectrum._key64``,
@@ -60,7 +56,6 @@ __all__ = [
     "SamplePlan",
     "noise_vector",
     "line_index",
-    "shift_weights",
     "gather_unwrapped",
 ]
 
@@ -137,17 +132,6 @@ def line_index(freqs: np.ndarray, axis: int, p: int) -> np.ndarray:
     return 2 * residues[:, None] + np.array([0, 1], dtype=np.int64)
 
 
-def shift_weights(coeffs: np.ndarray, freqs_t: np.ndarray, eps: float) -> np.ndarray:
-    """coeffs * exp(2 pi i w eps) for every row w of ``freqs_t``, with the
-    phase w eps reduced mod 1 from its exact value, not its rounded one.
-
-    ``freqs_t`` is float64 with the modes along its last axis: the (d', n)
-    transpose of the unwrapped frequencies gives one row of weights per
-    shift axis, a single column ``freqs[:, k]`` gives that axis's weights.
-    """
-    return coeffs * np.exp(2j * np.pi * _frac_product(freqs_t, eps))
-
-
 def _digit_count(eff_bandwidth: int) -> int:
     """The number D of 8-bit digits that hold every offset w - lo of an
     unwrapped entry: the offsets are below N' - 1."""
@@ -175,9 +159,11 @@ def _shift_tables(shifts: np.ndarray, lo: int, digits: int) -> np.ndarray:
 
 
 def _table_weights(coeffs: np.ndarray, index: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``shift_weights`` of the rows whose ``_digit_index`` is ``index``, at
-    the shift of ``table``, a row of ``_shift_tables``: coeffs times the
-    product of each entry's digit lookups, with the modes along the last axis."""
+    """coeffs * exp(2 pi i w eps) for the entries w whose ``_digit_index`` is
+    ``index``, at the shift eps of ``table``, a row of ``_shift_tables``:
+    coeffs times the product of each entry's digit lookups, with the modes
+    along the last axis. The (digits, d', n) index of the (d', n) transpose
+    of unwrapped rows gives one row of weights per shift axis."""
     weights = table[index[0]]
     for positions in index[1:]:
         weights *= table[positions]
@@ -219,12 +205,13 @@ def gather_unwrapped(
 
     ``index`` is ``line_index(freqs, axis, p)`` of the (n, d') unwrapped
     frequencies along the sampled axis; ``weights`` are the coefficients, or
-    for a shifted vector ``shift_weights`` at its shift axis and size. The
-    modes are the signal's own: ``recovery.recover`` passes the truth's
-    alone. A weight vector gives one vector of length p = plan.p; an (r, n)
-    block of weight rows gives an (r, p) block with p = plan.p / r. Its
-    noise is ``noise_vector(noise, plan.stream, plan.p)`` in row order, so
-    row 0 gets the noise of a one-row call on the stream.
+    for a vector shifted by eps along axis k the weights a exp(2 pi i w[k]
+    eps), which ``recovery.recover`` takes from a shift level's digit table
+    (``_table_weights``). The modes are the signal's own: ``recover`` passes
+    the truth's alone. A weight vector gives one vector of length p = plan.p;
+    an (r, n) block of weight rows gives an (r, p) block with p = plan.p / r.
+    Its noise is ``noise_vector(noise, plan.stream, plan.p)`` in row order,
+    so row 0 gets the noise of a one-row call on the stream.
     """
     values = _synthesize(index, weights, plan)
     if noise.sigma:

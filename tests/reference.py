@@ -1,7 +1,7 @@
 """Brute-force references the tests compare the package against: a direct
 O(p^2) DFT, a dense transform of a tiny spectrum, the point form of the
-block unwrapping, a one-row-per-draw random spectrum and shift phases in
-rational arithmetic."""
+block unwrapping, a one-row-per-draw random spectrum, shift phases in
+rational arithmetic and shift weights from one exact-phase exponential each."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from msfourier.estimator import _frac_product
 from msfourier.spectrum import SparseSpectrum
 from msfourier.unwrap import UnwrapMap
 
@@ -74,3 +75,14 @@ def _exact_frac_product(a: float, b: float) -> float:
 # (a b) mod 1 in [-1/2, 1/2) of float64 arrays a and b (broadcast), computed
 # exactly in rationals and rounded once to float64.
 frac_product = np.vectorize(_exact_frac_product, otypes=[np.float64])
+
+
+def shift_weights(coeffs: np.ndarray, freqs_t: np.ndarray, eps: float) -> np.ndarray:
+    """coeffs * exp(2 pi i w eps) for every row w of ``freqs_t``, with the
+    phase w eps reduced mod 1 from its exact value, not its rounded one.
+
+    ``freqs_t`` is float64 with the modes along its last axis: the (d', n)
+    transpose of the unwrapped frequencies gives one row of weights per
+    shift axis, a single column ``freqs[:, k]`` gives that axis's weights.
+    """
+    return coeffs * np.exp(2j * np.pi * _frac_product(freqs_t, eps))

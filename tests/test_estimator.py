@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import frac_product
+from reference import frac_product, shift_weights
 
 from msfourier import FourierMode, NoiseModel, SparseSpectrum
 from msfourier.estimator import (
@@ -17,7 +17,7 @@ from msfourier.estimator import (
     reconstruct_entry,
     shift_ratio,
 )
-from msfourier.sampler import SamplePlan, gather_unwrapped, line_index, shift_weights
+from msfourier.sampler import SamplePlan, gather_unwrapped, line_index
 from msfourier.unwrap import UnwrapMap, unwrap_freq
 
 

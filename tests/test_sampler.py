@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from reference import frac_product, unwrap_point
+from reference import frac_product, shift_weights, unwrap_point
 
 from msfourier import FourierMode, NoiseModel, RecoveryConfig, SparseSpectrum, evaluate_spectrum
 from msfourier.sampler import (
@@ -16,7 +16,6 @@ from msfourier.sampler import (
     gather_unwrapped,
     line_index,
     noise_vector,
-    shift_weights,
 )
 from msfourier.unwrap import UnwrapMap, unwrap_freq
 
