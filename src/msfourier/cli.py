@@ -18,7 +18,6 @@ import click
 import numpy as np
 
 from .recovery import RecoveryConfig, RecoveryResult, recover
-from .sampler import NOISE_KINDS, NoiseModel
 from .spectrum import (
     ComparisonReport, SparseSpectrum, _cube_holds, _key64, _row_keys, compare,
     read_signal_file, write_signal_file,
@@ -64,13 +63,11 @@ class RecoverOutcome:
         )
 
 
-def cmd_recover(
-    truth: SparseSpectrum, config: RecoveryConfig, noise_kind: str = NOISE_KINDS[0], out=None
-) -> RecoverOutcome:
-    """Run recovery at ``config.s`` on a parsed signal; optionally write the recovered modes."""
-    noise = NoiseModel(sigma=config.sigma, seed=config.seed, kind=noise_kind)
+def cmd_recover(truth: SparseSpectrum, config: RecoveryConfig, out=None) -> RecoverOutcome:
+    """Run ``recover`` at ``config.s``, under the noise it builds from the
+    config, on a parsed signal; optionally write the recovered modes."""
     t0 = time.perf_counter()
-    result = recover(config, truth, noise)
+    result = recover(config, truth)
     elapsed = time.perf_counter() - t0
     if out is not None:
         write_signal_file(result.modes, out)
@@ -88,8 +85,8 @@ def _trial_seeds(master: int, value_idx: int, trial: int) -> tuple[int, int]:
     return tuple(int(word) for word in seq.generate_state(2, dtype=np.uint64))
 
 
-def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, out_path,
-              noise_kind: str = NOISE_KINDS[0]) -> tuple[list[dict], bool]:
+def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int,
+              out_path) -> tuple[list[dict], bool]:
     """Sweep sigma or sparsity over ``values`` and write the CSV; returns (rows, all converged).
 
     Per (value, trial): a fresh random signal and noise stream from seeds
@@ -118,7 +115,7 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
         for trial in range(trials):
             signal_seed, noise_seed = _trial_seeds(cfg.seed, vi, trial)
             truth = random_spectrum(cfg.N, cfg.d, cfg.s, signal_seed)
-            outcome = cmd_recover(truth, replace(cfg, seed=noise_seed), noise_kind)
+            outcome = cmd_recover(truth, replace(cfg, seed=noise_seed))
             all_converged &= outcome.result.converged
             trial_rows.append(dict(zip(CSV_COLUMNS, [
                 variable, value, trial, signal_seed,
@@ -141,8 +138,8 @@ def cmd_sweep(variable: str, values: list, fixed: RecoveryConfig, trials: int, o
 
 
 def _config_options(fn):
-    # Each option but --noise-kind passes through as the RecoveryConfig field
-    # it names, with that field's default.
+    # Each option passes through as the RecoveryConfig field it names, with
+    # that field's default.
     default = {f.name: f.default for f in fields(RecoveryConfig)}
     opts = [
         click.option("--sigma", type=float, default=default["sigma"], show_default=True,
@@ -159,8 +156,6 @@ def _config_options(fn):
                      help="noise-threshold constant"),
         click.option("--eta", type=float, default=default["eta"], show_default=True,
                      help="tolerated fraction of failed collision tests"),
-        click.option("--noise-kind", type=click.Choice(NOISE_KINDS),
-                     default=NOISE_KINDS[0], show_default=True),
         click.option("--max-outer", "max_outer_iterations", type=int,
                      default=default["max_outer_iterations"],
                      help="outer iteration cap (default 10*d')"),
@@ -196,7 +191,7 @@ def generate_command(N, d, s, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write recovered modes here")
 @_config_options
-def recover_command(signal, d1, out, noise_kind, **options):
+def recover_command(signal, d1, out, **options):
     """Recover a signal file's modes; prints
 
     l1_error exact_rate samples runtime_ms sample_ms
@@ -206,7 +201,7 @@ def recover_command(signal, d1, out, noise_kind, **options):
         config = RecoveryConfig(N=truth.bandwidth, d=truth.dim, d1=d1, s=len(truth), **options)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    outcome = cmd_recover(truth, config, noise_kind=noise_kind, out=out)
+    outcome = cmd_recover(truth, config, out=out)
     click.echo(outcome.summary_line())
     if not outcome.result.converged:
         click.echo("warning: recovery did not converge", err=True)
@@ -225,7 +220,7 @@ def recover_command(signal, d1, out, noise_kind, **options):
 @click.option("--trials", type=int, default=10, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @_config_options
-def sweep_command(variable, values, N, d, d1, s, trials, out, noise_kind, **options):
+def sweep_command(variable, values, N, d, d1, s, trials, out, **options):
     """Sweep sigma or sparsity and write per-trial + mean rows to a CSV."""
     try:
         parsed = [float(v) if variable == "sigma" else int(v) for v in values.split(",")]
@@ -239,7 +234,7 @@ def sweep_command(variable, values, N, d, d1, s, trials, out, noise_kind, **opti
         raise click.UsageError("--sparsity is required for sigma sweeps")
     try:
         fixed = RecoveryConfig(N=N, d=d, d1=d1, s=s, **options)
-        _, converged = cmd_sweep(variable, parsed, fixed, trials, out, noise_kind)
+        _, converged = cmd_sweep(variable, parsed, fixed, trials, out)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {out}")

@@ -54,7 +54,10 @@ MAX_SAMPLE_LENGTH = 2**26 - 5
 # (M+1) d' shifted vectors and weighs the truth's rows M+1 times, d' n_truth
 # weights at a time, and each ladder keeps M+1 digit tables of 256 D <= 1,792
 # complex entries: at most 1,024 x 1,792 x 16 B, about 29 MB, whatever the
-# size of the truth. Any beta >= 1.04 stays below it at every N' <= 2^53.
+# size of the truth. Building them (``sampler._shift_tables``) peaks at about
+# 2.5 times their size: 73 MB traced at the cap, and 51 MB for the 20 MB of
+# the 712 levels at N=2^26, d=d1=2, sigma=1, beta=1.04. Any beta >= 1.04
+# stays below it at every N' <= 2^53.
 MAX_SHIFT_LEVELS = 1024
 
 # Largest ladder growth float64 admits (see ``_ladder``): with exact shift

@@ -59,29 +59,21 @@ __all__ = [
     "gather_unwrapped",
 ]
 
-# The noise kinds a NoiseModel accepts; the first is the default.
-NOISE_KINDS = ("complex-circular", "real-only")
-
-
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive Gaussian noise: total variance sigma^2 per sample.
-
-    kind "complex-circular" splits sigma^2 evenly over real and imaginary
-    parts; "real-only" puts variance sigma^2 on the real part alone.
+    """Additive complex-circular Gaussian noise: total variance sigma^2 per
+    sample, split evenly over the real and imaginary parts, drawn from
+    streams keyed by ``seed``.
     """
 
     sigma: float
     seed: int = 0
-    kind: str = NOISE_KINDS[0]
 
     def __post_init__(self):
         if not (_is_real(self.sigma) and math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +106,8 @@ def noise_vector(noise: NoiseModel, stream: int, p: int) -> np.ndarray:
         return np.zeros(p, dtype=np.complex128)
     key = np.array([_key64(noise.seed), _key64(stream)], dtype=np.uint64)
     draws = np.random.Generator(np.random.Philox(key=key)).standard_normal(2 * p)
-    if noise.kind == "complex-circular":
-        # (draw 2l, draw 2l+1) is the memory layout of one complex128.
-        return np.multiply(draws, noise.sigma / np.sqrt(2.0), out=draws).view(np.complex128)
-    return noise.sigma * draws[0::2] + 0j
+    # (draw 2l, draw 2l+1) is the memory layout of one complex128.
+    return np.multiply(draws, noise.sigma / np.sqrt(2.0), out=draws).view(np.complex128)
 
 
 def line_index(freqs: np.ndarray, axis: int, p: int) -> np.ndarray:

@@ -11,7 +11,9 @@ from reference import random_spectrum_per_row
 
 import msfourier
 from msfourier import RecoveryConfig, read_signal_file, recover, write_signal_file
-from msfourier.cli import _trial_seeds, cli, cmd_recover, cmd_sweep, random_spectrum
+from msfourier.cli import (
+    _config_options, _trial_seeds, cli, cmd_recover, cmd_sweep, random_spectrum,
+)
 from msfourier.estimator import _ladder
 from msfourier.sampler import NoiseModel
 
@@ -293,8 +295,7 @@ def test_cli_sets_every_shared_option(tmp_path):
     # each shared option reaches RecoveryConfig under its field name; a
     # renamed parameter would fail only when the command runs
     shared = ["--sigma", "0.001", "--seed", "3", "--a-min", "0.5", "--beta", "3.0",
-              "--c1", "3.0", "--c-sigma", "5.0", "--eta", "0.3", "--max-outer", "40",
-              "--noise-kind", "real-only"]
+              "--c1", "3.0", "--c-sigma", "5.0", "--eta", "0.3", "--max-outer", "40"]
     sig = tmp_path / "sig.txt"
     write_signal_file(random_spectrum(8, 2, 2, seed=1), sig)
     proc = run_cli("recover", str(sig), "--d1", "1", *shared)
@@ -343,15 +344,16 @@ def test_sweep_refuses_bad_sparsity_before_any_trial(tmp_path, monkeypatch, valu
 
 @pytest.mark.parametrize("command", ["recover", "sweep"])
 def test_shared_option_defaults_are_the_field_defaults(command):
+    # every option _config_options adds is the RecoveryConfig field it
+    # names, with that field's default
     defaults = {f.name: f.default for f in fields(RecoveryConfig) if f.default is not MISSING}
-    defaults["noise_kind"] = next(f.default for f in fields(NoiseModel) if f.name == "kind")
-    shared = [p for p in cli.commands[command].params if p.name in defaults]
+    names = {p.name for p in _config_options(lambda: None).__click_params__}
+    shared = [p for p in cli.commands[command].params if p.name in names]
     assert sorted(p.name for p in shared) == [
-        "a_min", "beta", "c1", "c_sigma", "eta", "max_outer_iterations", "noise_kind", "seed",
-        "sigma",
+        "a_min", "beta", "c1", "c_sigma", "eta", "max_outer_iterations", "seed", "sigma",
     ]
     for param in shared:
-        assert param.default == defaults[param.name], param.name
+        assert param.name in defaults and param.default == defaults[param.name], param.name
 
 
 def test_sweep_cli_and_validation(tmp_path):
@@ -407,3 +409,15 @@ def test_recover_runs_at_config_sparsity():
     assert outcome.result.modes == direct.modes
     assert outcome.result.samples_used == direct.samples_used
     assert len(outcome.result.modes) == 3 and outcome.report.spurious == 0
+
+
+def test_cli_runs_the_library_default_noise():
+    # cmd_recover draws the noise recover builds from the config's sigma and
+    # seed: the same modes, samples, iterations and convergence
+    truth = random_spectrum(20, 4, 6, seed=2)
+    cfg = RecoveryConfig(N=20, d=4, d1=2, s=6, sigma=0.05, seed=9)
+    got, direct = cmd_recover(truth, cfg).result, recover(cfg, truth)
+    assert got.modes == direct.modes and len(direct.modes) == 6
+    assert got.samples_used == direct.samples_used
+    assert got.outer_iterations == direct.outer_iterations
+    assert got.converged == direct.converged

@@ -231,7 +231,6 @@ def test_synthesize_block_refusals():
 BLOCK_NOISE = [
     SILENT,
     NoiseModel(sigma=0.5, seed=5),
-    NoiseModel(sigma=0.5, seed=5, kind="real-only"),
 ]
 
 
@@ -289,21 +288,18 @@ def fresh_noise(noise, stream, p):
         np.random.Philox(key=np.array([noise.seed, stream], dtype=np.uint64))
     )
     draws = rng.standard_normal(2 * p)
-    if noise.kind == "complex-circular":
-        return noise.sigma / np.sqrt(2.0) * (draws[0::2] + 1j * draws[1::2])
-    return noise.sigma * draws[0::2] + 0j
+    return noise.sigma / np.sqrt(2.0) * (draws[0::2] + 1j * draws[1::2])
 
 
 NOISE_CASES = [
-    (NoiseModel(sigma=0.5, seed=seed, kind=kind), stream, p)
+    (NoiseModel(sigma=0.5, seed=seed), stream, p)
     for seed in (0, 42, 2**62 + 1, 2**63 - 1)
-    for kind in ("complex-circular", "real-only")
     for stream, p in ((0, 2), (1, 131), (7, 5), (2**40 + 3, 521))
 ]
 
 
 def test_noise_matches_fresh_generator_interleaved():
-    # keys, kinds and lengths change from call to call, and each call draws
+    # keys and lengths change from call to call, and each call draws
     # exactly what a generator built for its own key draws
     order = np.random.default_rng(12).permutation(len(NOISE_CASES))
     for i in order:
@@ -355,13 +351,6 @@ def test_complex_circular_variance():
     assert abs(var - 0.25) <= 0.02 * 0.25
     # circularity: real and imaginary parts carry half the variance each
     assert abs(np.var(draws.real) - 0.125) <= 0.02 * 0.125
-
-
-def test_real_only_variance():
-    noise = NoiseModel(sigma=0.5, seed=0, kind="real-only")
-    draws = noise_vector(noise, 0, 10**6)
-    assert np.all(draws.imag == 0)
-    assert abs(np.var(draws.real) - 0.25) <= 0.02 * 0.25
 
 
 def _bin_statistics(n_streams=10**4, p=31, sigma=0.5):
@@ -422,8 +411,6 @@ def test_plan_validation():
     for sigma in (float("nan"), float("inf"), "x", None, True):
         with pytest.raises(ValueError, match="finite"):
             NoiseModel(sigma=sigma)
-    with pytest.raises(ValueError):
-        NoiseModel(sigma=1.0, kind="pink")
     for seed in (1.5, "x", None, True):
         with pytest.raises(ValueError, match="seed must be an integer"):
             NoiseModel(sigma=0.1, seed=seed)
