@@ -8,12 +8,17 @@ entry's phase and the bin's collision vote (``estimator.shift_ratio``).
 Each iteration's plan, p, tau and the shift ladder, follows the remaining
 sparsity s* (``RecoveryConfig.schedule``): the ladder follows p, and at
 sigma > 0 a longer p admits a faster-growing ladder with fewer levels.
-A shift level draws its d' vectors in one call and one FFT. The samples
-come from the truth alone: the residual is their DFT with the modes found
-so far peeled off the bins where they land, the bin-domain update of
-Hassanieh, Indyk, Katabi and Price (STOC 2012). The loop ends when s modes
-are found or the iteration budget runs out (the all-axes-collision case
-this library does not attempt to untangle).
+A shift level draws its d' vectors in one call, as a (d', p) block, and
+transforms the block at the s* ranked bins alone: by one full FFT while s*
+is large, and by one (d', p) @ (p, s*) product with the pruned DFT's matrix
+(Sorensen and Burrus, IEEE TSP 1993) where the cost rule of
+``_product_wins`` finds it cheaper; the unshifted vector always takes the
+full FFT, as ranking reads every bin. The samples come from the truth
+alone: the residual is their DFT with the modes found so far peeled off
+the bins where they land, the bin-domain update of Hassanieh, Indyk,
+Katabi and Price (STOC 2012). The loop ends when s modes are found or the
+iteration budget runs out (the all-axes-collision case this library does
+not attempt to untangle).
 """
 
 from __future__ import annotations
@@ -50,6 +55,48 @@ __all__ = ["RecoveryConfig", "RecoveryResult", "recover"]
 # so w' must stay an exact float64 integer. Above this effective bandwidth N'
 # the recovered frequencies are wrong although the run reports convergence.
 _MAX_EXACT_BANDWIDTH = 2**53
+
+# The cost rule of the shifted blocks' DFT at the s* ranked bins. Per shift
+# level, the full FFT of the (d', p) block costs about F d' p and the product
+# with the (p, s*) matrix W about G d' p s*; W costs about B p s* to build,
+# once per outer iteration. Over its M+1 levels the product is cheaper when
+#     s* (1 + (B/G) / (d' (M+1))) < F/G.
+# Measured on a Sapphire Rapids Xeon at one BLAS thread (numpy 2.4's
+# pocketfft against OpenBLAS 0.3.31's zgemm, p from 41 to 2053): a level's
+# product matches its FFT at s* of 130-160 for d' >= 20 and 80-110 for
+# d' = 4, and building W costs 6-7 ns per entry against 0.15-0.2 ns per
+# multiply-add of the product.
+_FFT_OVER_PRODUCT = 128  # F/G
+_BUILD_OVER_PRODUCT = 40  # B/G
+# Most entries W may hold, 16 MiB: the rule keeps s* below 128, so this
+# binds only at p past 8,192, where a noise floor sets p and W would grow
+# with it to many times the (d', p) block.
+_MAX_PRODUCT_ENTRIES = 2**20
+
+
+def _product_wins(p: int, s_star: int, rows: int, levels: int) -> bool:
+    """Whether ``levels`` (rows, p) blocks take the ranked-bin product, not
+    the full FFT: the cost rule above, with W no larger than its cap."""
+    return (
+        s_star * (1 + _BUILD_OVER_PRODUCT / (rows * levels)) < _FFT_OVER_PRODUCT
+        and p * s_star <= _MAX_PRODUCT_ENTRIES
+    )
+
+
+def _ranked_dft(p: int, bins: np.ndarray) -> np.ndarray:
+    """The (p, len(bins)) matrix W with ``block @ W`` the DFT of each row of
+    ``block`` at ``bins``: W[l, j] = exp(-2 pi i l bins[j] / p), each phase
+    read from one table of p roots at the exact index (l bins[j]) mod p."""
+    roots = np.exp(-2j * np.pi * np.arange(p) / p)
+    return roots[np.multiply.outer(np.arange(p), bins) % p]
+
+
+def _column_peel(weights: np.ndarray, cols: np.ndarray, count: int) -> np.ndarray:
+    """The (rows, count) matrix that peels the (rows, n) ``weights`` of modes
+    landing at columns ``cols`` < count: minus each column's landed sum."""
+    peel = np.zeros((len(weights), count), dtype=np.complex128)
+    np.subtract.at(peel, (slice(None), cols), weights)
+    return peel
 
 
 def top_bins(F, count: int) -> np.ndarray:
@@ -208,25 +255,32 @@ def recover(
         np.subtract.at(F0, residues, p * found_coeffs)
         bins = top_bins(F0, s_star)
         Fu = F0[bins]
-        ranked = np.zeros(p, dtype=bool)
-        ranked[bins] = True
-        landed = ranked[residues]
+        column = np.full(p, -1)
+        column[bins] = np.arange(s_star)
+        cols = column[residues]
+        landed = cols >= 0
         landed_rows = _digit_index(found[landed].T, umap.lo, digits)
-        residues = residues[landed]
+        cols = cols[landed]
         peeled = p * found_coeffs[landed]
 
         # Each shift level weighs the truth and draws its d' vectors in one
-        # call, as a (d', p) block, and transforms the block with one FFT. A
-        # bin failing the collision test on any axis gets the level's vote. An
-        # empty bin fails every level, so its M+1 votes (eta < 1) reject it;
-        # its phases read 0.
+        # call, as a (d', p) block, and transforms the block at the ranked
+        # bins alone: as block @ W where _product_wins, else by one FFT read
+        # at the bins. The found modes that land in a ranked bin are peeled
+        # at its column, summed by np.subtract.at before the transform, not
+        # after it: right after OpenBLAS's zgemm, np.subtract.at ran 18x
+        # slower on the same Xeon (1,440 against 78 us after the FFT, 40
+        # landed modes on a (200, 64) product). A bin failing the collision
+        # test on any axis gets the level's vote. An empty bin fails every
+        # level, so its M+1 votes (eta < 1) reject it; its phases read 0.
+        W = _ranked_dft(p, bins) if _product_wins(p, s_star, d_red, M + 1) else None
         votes = np.zeros(s_star, dtype=np.int64)
         phases = np.empty((M + 1, d_red, s_star), dtype=np.float64)
         for alpha in range(M + 1):
-            Fs = dft_forward(draw(alpha))
             landed_weights = _table_weights(peeled, landed_rows, level_tables[alpha])
-            np.subtract.at(Fs, (slice(None), residues), landed_weights)
-            passed, phases[alpha] = shift_ratio(Fu, Fs[:, bins], tau)
+            Fs = _column_peel(landed_weights, cols, s_star)
+            Fs += dft_forward(draw(alpha))[:, bins] if W is None else draw(alpha) @ W
+            passed, phases[alpha] = shift_ratio(Fu, Fs, tau)
             votes += ~passed.all(axis=0)
         final = np.rint(reconstruct_entry(shifts, phases)).astype(np.int64)
         # An entry outside [lo, hi] is not an unwrapped frequency: junk. A

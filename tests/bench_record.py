@@ -32,19 +32,27 @@ what ``run.py`` itself writes to its ``out/`` directory. Times at
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
-import resource
-import statistics
-import subprocess
-import sys
-import time
-import tracemalloc
-from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__":
+    # One BLAS thread, as perfbench/run.py sets it, before numpy is first
+    # imported: a cell run directly, as every cell of a record is, times the
+    # program perfbench times. A process that imports this file keeps its own.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,9 +115,9 @@ def run_cell(name: str, seeds: list[int], seconds: float) -> dict:
 
 
 def record(checkout: Path, pr: int, seeds: list[int], seconds: float) -> dict:
+    # Each child pins one BLAS thread itself: perfbench/run.py and a cell run
+    # as this script alike.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"  # as perfbench sets them
     path = [str(checkout / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
 

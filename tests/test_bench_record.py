@@ -1,6 +1,10 @@
 """``tests/bench_record.py`` writes a complete record: its keys, not its times."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import bench_record
 
@@ -37,3 +41,31 @@ def test_bench_record_writes_every_key(tmp_path, monkeypatch):
         assert cell["runs"] == 1 and len(cell["samples_used"]) == 1
         assert cell["samples_used"][0] > 0 and 0 <= cell["exact_rate"] <= 1
         assert 0 < cell["peak_traced_mb"] < cell["peak_rss_mb"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_one_blas_thread_only_when_run_as_a_script():
+    # run as a script, as a cell runs, the file pins one BLAS thread before
+    # numpy is imported; a process that imports it keeps its own settings
+    script = Path(bench_record.__file__)
+    probe = (
+        "import os, runpy, sys\n"
+        f"sys.path.insert(0, {str(script.parent)!r})\n"
+        "import bench_record\n"
+        f"print([os.environ.get(v) for v in {BLAS_VARS!r}])\n"
+        "sys.argv = ['bench_record.py']\n"
+        "try:\n"
+        f"    runpy.run_path({str(script)!r}, run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"print([os.environ.get(v) for v in {BLAS_VARS!r}])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    imported, as_script = done.stdout.splitlines()
+    assert imported == str([None] * 3)
+    assert as_script == str(["1"] * 3)

@@ -1,13 +1,14 @@
 """The FFT, prime and bin-ranking properties the peeling loop relies on:
 numpy's FFT against a direct DFT, a block's rows bit-equal to per-vector
-transforms, Parseval, aliasing, ``next_prime_at_least`` and ``top_bins``."""
+transforms, the ranked-bin product and its peel against the FFT, Parseval,
+aliasing, ``next_prime_at_least`` and ``top_bins``."""
 
 import numpy as np
 import pytest
 from reference import direct_dft
 
 from msfourier.estimator import next_prime_at_least
-from msfourier.recovery import top_bins
+from msfourier.recovery import _column_peel, _ranked_dft, top_bins
 
 
 def trial_division_next_prime(x):
@@ -55,13 +56,51 @@ def test_dft_matches_direct_oracle(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 131, 193, 521, 2053, 7919])
 def test_dft_block_rows_equal_vector_transforms(p):
-    # the peeling loop transforms a shift level's vectors as one block
+    # where the cost rule keeps the FFT, the peeling loop transforms a shift
+    # level's vectors as one block and reads it at the ranked bins
     rng = np.random.default_rng(p)
     block = rng.standard_normal((7, p)) + 1j * rng.standard_normal((7, p))
     F = np.fft.fft(block)
     assert F.shape == (7, p)
     for row, v in zip(F, block):
         np.testing.assert_array_equal(row, np.fft.fft(v))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 79, 131, 521, 2053])
+@pytest.mark.parametrize("rows", [1, 20])
+def test_ranked_product_equals_fft_at_the_bins(p, rows):
+    # block @ W is the block's DFT at the ranked bins, in their rank order,
+    # within 1e-14 of p max|block|: about 45 float64 epsilons, where a
+    # wrong phase index misses by orders of magnitude
+    rng = np.random.default_rng(p + rows)
+    for _ in range(3):
+        block = rng.standard_normal((rows, p)) + 1j * rng.standard_normal((rows, p))
+        bins = np.unique(np.r_[0, p - 1, rng.integers(0, p, size=min(p, 64))])
+        rng.shuffle(bins)
+        W = _ranked_dft(p, bins)
+        assert W.shape == (p, len(bins))
+        error = np.abs(block @ W - np.fft.fft(block)[:, bins]).max()
+        assert error <= 1e-14 * p * np.abs(block).max()
+
+
+@pytest.mark.parametrize("landed", [0, 1, 9])
+def test_column_peel_equals_subtract_at_on_the_full_transform(landed):
+    # the ranked-bin product with found modes peeled at the columns where
+    # they land, several in one bin or none at all, is the full transform
+    # peeled at their residues by np.subtract.at, read at the ranked bins
+    p, rows = 131, 4
+    rng = np.random.default_rng(landed)
+    block = rng.standard_normal((rows, p)) + 1j * rng.standard_normal((rows, p))
+    bins = rng.permutation(p)[:20]
+    cols = rng.choice([0, 3, 19], size=landed)  # repeated columns
+    weights = rng.standard_normal((rows, landed)) + 1j * rng.standard_normal((rows, landed))
+    full = np.fft.fft(block)
+    np.subtract.at(full, (slice(None), bins[cols]), weights)
+    peel = _column_peel(weights, cols, len(bins))
+    assert peel.shape == (rows, len(bins))
+    assert np.count_nonzero(peel.any(axis=0)) == len(set(cols.tolist()))
+    peeled = block @ _ranked_dft(p, bins) + peel
+    assert np.abs(peeled - full[:, bins]).max() <= 1e-14 * p * np.abs(block).max()
 
 
 def test_dft_random_p521_batch():

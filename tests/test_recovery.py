@@ -450,6 +450,44 @@ def test_gather_calls_match_sample_accounting(monkeypatch):
     assert lengths == [n for p, shifts in ladders for n in [p] + [d_red * p] * len(shifts)]
 
 
+@pytest.mark.parametrize(
+    "s, fft_blocks",
+    [
+        # s* = 128: each level's block takes the FFT; s* = 52, 15 and 2: the
+        # ranked-bin product
+        (128, [13, 0, 0, 0]),
+        # s* = 16, 6 and 2: the product at every iteration
+        (16, [0, 0, 0]),
+    ],
+)
+def test_cost_rule_picks_the_shifted_blocks_transform(monkeypatch, s, fft_blocks):
+    # every iteration transforms its unshifted vector with the FFT; each
+    # level's (d', p) block takes the FFT while s* is large and the
+    # ranked-bin product once few bins are ranked, and the run is exact
+    truth = random_spectrum(20, 10, s, 3)
+    cfg = RecoveryConfig(**{**LADDER_CHANGES, "s": s})
+    blocks = []
+
+    def counted(v, _fn=recovery.dft_forward):
+        if v.ndim == 1:
+            blocks.append(0)
+        else:
+            blocks[-1] += 1
+        return _fn(v)
+
+    monkeypatch.setattr(recovery, "dft_forward", counted)
+    res = recover(cfg, truth)
+    report = compare(truth, res.modes)
+    assert res.converged and report.missed == report.spurious == 0
+    assert blocks == fft_blocks
+
+
+def test_cost_rule_caps_the_ranked_bin_matrix():
+    # one ranked bin of a p past 2^20 would need a (p, 1) matrix over the cap
+    assert recovery._product_wins(1009, 1, 20, 3)
+    assert not recovery._product_wins(1048583, 1, 20, 3)
+
+
 def test_oracle_samples_the_truth_alone(monkeypatch):
     # every gather draws from the truth's rows and weights alone: the
     # unshifted vector from its coefficients, each level's block from d'
